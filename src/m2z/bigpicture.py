@@ -8,8 +8,9 @@ vertex embeds as the unique class with coprime entries
 
 and the hyper-distance pulled back through the embedding agrees with the
 classical one computed from the alpha-matrices (M, g/h; 0, 1).  Two vertices
-are joined by an edge when their distance is prime; balls around a vertex
-are enumerated by breadth-first prime steps with exact distances.
+are joined by an edge when their distance is prime.  The picture is
+homogeneous, so a ball around any vertex is the ball around the origin (the
+primitive classes of bounded determinant) moved by the embedded centre.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import NotPrimitive
-from .matrices import MatrixClass, classes_with_det, divides, hnf, hyper_distance
-from .primes import primes_up_to
+from .matrices import MatrixClass, classes_with_det, hnf, hyper_distance, meet, primitive_decompose
+from .primes import factor
 
 __all__ = [
     "BigPictureVertex",
@@ -120,23 +121,6 @@ def bp_leq(x: BigPictureVertex, y: BigPictureVertex) -> bool:
     return delta(_ONE, y) == delta(x, y) * delta(_ONE, x)
 
 
-def _up_steps(u: MatrixClass, p: int) -> list[MatrixClass]:
-    """Primitive classes v >= u with det v = p * det u."""
-    out = []
-    for s in classes_with_det(p):
-        v = hnf(s.to_matrix() @ u.to_matrix())
-        if v.is_primitive:
-            out.append(v)
-    return out
-
-
-def _down_steps(u: MatrixClass, p: int) -> list[MatrixClass]:
-    """Primitive classes v <= u with det u = p * det v (always primitive)."""
-    if u.det % p:
-        return []
-    return [v for v in classes_with_det(u.det // p) if divides(v, u)]
-
-
 def _sort_key(m: MatrixClass) -> tuple[int, int, int, int]:
     return (m.det, m.a, m.b, m.d)
 
@@ -145,49 +129,33 @@ def ball(center: BigPictureVertex, radius: int) -> PictureGraph:
     """All vertices within hyper-distance ``radius`` of ``center``, plus the
     prime-weight edges among them.
 
-    Breadth-first expansion by prime steps generates candidates; membership
-    is decided by the exact hyper-distance, so the traversal and the metric
-    cross-validate.  Vertex order: ascending determinant of the embedding,
-    then lexicographic on the representative.
+    Around the origin the ball is the set of primitive classes of det <=
+    radius, since delta(1, v) = det embed(v).  Each of its non-origin
+    vertices v has, for every prime p | det v, exactly one neighbour below it
+    at distance p, namely meet(v, (det v / p) * I): the quotient Z^2 / L_v of
+    a primitive class is cyclic, so it has one subgroup of each order.  Right
+    multiplication by embed(center), followed by taking the primitive part,
+    is an isometry of the picture that sends the origin to the centre, so it
+    carries this ball and its edges onto the requested one.  Vertex order:
+    ascending determinant of the embedding, then lexicographic on the
+    representative.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    x0 = embed(center)
-    primes = primes_up_to(radius)
-    dist = {x0: 1}
-    frontier = [x0]
-    while frontier:
-        fresh = []
-        for u in frontier:
-            du = dist[u]
-            for p in primes:
-                if du * p > radius:
-                    break
-                for v in _up_steps(u, p) + _down_steps(u, p):
-                    if v in dist:
-                        continue
-                    dv = hyper_distance(x0, v)
-                    if dv <= radius:
-                        dist[v] = dv
-                        fresh.append(v)
-        frontier = fresh
+    origin_ball = [m for n in range(1, radius + 1) for m in classes_with_det(n) if m.is_primitive]
+    index = {m: i for i, m in enumerate(origin_ball)}
+    origin_edges = [
+        (index[meet(m, MatrixClass(m.det // p, 0, m.det // p))], i, p)
+        for i, m in enumerate(origin_ball)
+        for p in factor(m.det)
+    ]
 
-    members = sorted(dist, key=_sort_key)
-    index = {m: i for i, m in enumerate(members)}
-    max_det = max(m.det for m in members)
-    edge_primes = primes_up_to(max(max_det, 2))
-    edges = []
-    for m in members:
-        i = index[m]
-        for p in edge_primes:
-            if p * m.det > max_det:
-                break
-            for v in _up_steps(m, p):
-                j = index.get(v)
-                if j is not None:
-                    edges.append((min(i, j), max(i, j), p))
-    edges.sort()
-    return PictureGraph(tuple(unembed(m) for m in members), tuple(edges))
+    g = embed(center).to_matrix()
+    moved = [primitive_decompose(hnf(m.to_matrix() @ g))[1] for m in origin_ball]
+    order = sorted(range(len(moved)), key=lambda i: _sort_key(moved[i]))
+    rank = {old: new for new, old in enumerate(order)}
+    edges = sorted((min(rank[i], rank[j]), max(rank[i], rank[j]), p) for i, j, p in origin_edges)
+    return PictureGraph(tuple(unembed(moved[i]) for i in order), tuple(edges))
 
 
 def export_dot(g: PictureGraph) -> str:

@@ -17,7 +17,8 @@ from m2z.bigpicture import (
     PictureGraph,
 )
 from m2z.errors import NotPrimitive
-from m2z.matrices import MatrixClass, divides, hyper_distance
+from m2z.matrices import MatrixClass, classes_with_det, divides, hyper_distance
+from m2z.primes import is_prime
 
 ONE = BigPictureVertex.of(1)
 
@@ -164,12 +165,41 @@ class TestBall:
                 if hyper_distance(embeds[i], embeds[j]) in primes:
                     assert (i, j) in edge_set
 
-    def test_off_center_ball(self):
-        center = BigPictureVertex.of(Fraction(3, 2), Fraction(1, 2))
-        g = ball(center, 6)
-        assert center in g.vertices
-        for v in g.vertices:
-            assert delta(center, v) <= 6
+    @pytest.mark.parametrize(
+        "center, radius",
+        [
+            (BigPictureVertex.of(Fraction(3, 2), Fraction(1, 2)), 12),
+            (BigPictureVertex.of(5, Fraction(2, 3)), 6),
+            (BigPictureVertex.of(Fraction(2, 9), Fraction(1, 3)), 4),
+        ],
+        ids=str,
+    )
+    def test_off_center_ball(self, center, radius):
+        # delta(c, v) <= R forces det v <= det(embed c) * R, so scanning that
+        # determinant range finds the whole ball by its definition
+        c = embed(center)
+        expected = {
+            unembed(m)
+            for n in range(1, c.det * radius + 1)
+            for m in classes_with_det(n)
+            if m.is_primitive and hyper_distance(c, m) <= radius
+        }
+        g = ball(center, radius)
+        assert len(g.vertices) == len(expected)
+        assert set(g.vertices) == expected
+        embeds = [embed(v) for v in g.vertices]
+        prime_pairs = set()
+        for i in range(len(embeds)):
+            for j in range(i + 1, len(embeds)):
+                d = hyper_distance(embeds[i], embeds[j])
+                if is_prime(d):
+                    prime_pairs.add((i, j, d))
+        assert set(g.edges) == prime_pairs
+
+    def test_large_determinant_center(self):
+        g = ball(BigPictureVertex.of(10**12 + 39), 3)
+        assert len(g.vertices) == 8
+        assert len(g.edges) == 7
 
     def test_vertex_ordering_deterministic(self):
         g = ball(ONE, 12)

@@ -96,6 +96,11 @@ class TestBallCommand:
         code, _, _ = run(capsys, "ball", "M=1,r=0", "--radius", "2", "--format", "yaml")
         assert code == 2
 
+    def test_large_determinant_center(self, capsys):
+        code, _, err = run(capsys, "ball", "M=1000000000039,r=0", "--radius", "3")
+        assert code == 0
+        assert "vertices: 8 edges: 7" in err
+
 
 class TestZetaCommand:
     def test_full_monoid_formula(self, capsys):
