@@ -109,7 +109,8 @@ def delta_direct(x: BigPictureVertex, y: BigPictureVertex) -> int:
         gcd(*(c.numerator for c in entries)),
     )
     det = q * q * c11
-    assert det.denominator == 1 and det > 0
+    if det.denominator != 1 or det <= 0:
+        raise ArithmeticError(f"the alpha route gave {det}, not a positive integer")
     return int(det)
 
 

@@ -206,7 +206,7 @@ def meet(x: MatrixClass, y: MatrixClass) -> MatrixClass:
 def _exact_div(n: int, d: int) -> int:
     q, r = divmod(n, d)
     if r:
-        raise AssertionError(f"non-exact division {n}/{d} in lattice duality")
+        raise ArithmeticError(f"non-exact division {n}/{d} in lattice duality")
     return q
 
 

@@ -23,11 +23,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterator, Union
 
 from .errors import Degenerate, NotAUnit, NotRepresentable
-from .primes import factor, is_prime, valuation
+from .primes import factor, is_prime
 
 __all__ = [
     "ComponentwiseProfinite",
@@ -483,21 +483,27 @@ def ext_membership(x: ExtMatrix, u: int | Fraction, v: int | Fraction) -> bool:
     """Whether the column (u, v) lies in the subgroup attached to x:
     at every prime, v_p(s_p*u + z_p*v) >= 0 and v_p(s'_p*v) >= 0.
 
-    Only the support primes and the primes of the denominators of u, v can
-    fail, so the check is finite.
+    The support primes are checked one by one.  Every other prime sees the
+    generic components (1, or 0 for the all-zero element), so it fails exactly
+    when it divides the denominator of the generic s*u + z*v or s'*v.  The
+    check passes when 1 is left after stripping the support primes from those
+    denominators with gcd, so nothing is factored.
     """
     u = Fraction(u)
     v = Fraction(v)
-    primes = set(x.s.support) | set(x.z.support) | set(x.s_prime.support)
-    primes |= set(factor(u.denominator)) | set(factor(v.denominator))
-    for p in primes:
+    support = set(x.s.support) | set(x.z.support) | set(x.s_prime.support)
+    for p in support:
         top = x.s.value_at(p) * u + x.z.value_at(p) * v
-        if top != 0 and valuation(top, p) < 0:
-            return False
         bottom = x.s_prime.value_at(p) * v
-        if bottom != 0 and valuation(bottom, p) < 0:
+        if top.denominator % p == 0 or bottom.denominator % p == 0:
             return False
-    return True
+    s, z, s_prime = (0 if y.zero_everywhere else 1 for y in (x.s, x.z, x.s_prime))
+    rest = (s * u + z * v).denominator * (s_prime * v).denominator
+    g = gcd(rest, prod(support))
+    while g > 1:
+        rest //= g
+        g = gcd(rest, g)
+    return rest == 1
 
 
 GOORMAGHTIGH_8191_NOTE = (

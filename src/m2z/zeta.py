@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .errors import LengthMismatch
+from .primes import primes_up_to
 
 __all__ = [
     "FULL_MONOID",
@@ -56,33 +57,42 @@ def _check_terms(n: int):
         raise ValueError(f"need at least one term, got {n}")
 
 
+def _smallest_prime_factors(n: int) -> list[int]:
+    """spf[j] = the smallest prime factor of the composite j <= n; 0 for the
+    primes, 0 and 1."""
+    spf = [0] * (n + 1)
+    # descending, so the smallest prime dividing j is the last to write spf[j]
+    for p in reversed(primes_up_to(isqrt(n))):
+        spf[p * p :: p] = [p] * len(range(p * p, n + 1, p))
+    return spf
+
+
 def sigma_coeffs(n_terms: int) -> CoefficientTable:
-    """sigma(n) = sum of divisors, by sieve; coefficients of zeta(s)zeta(s-1)."""
+    """sigma(n) = sum of divisors, multiplicatively from a smallest-prime-factor
+    sieve; coefficients of zeta(s)zeta(s-1)."""
     _check_terms(n_terms)
+    spf = _smallest_prime_factors(n_terms)
     coeffs = [0] * (n_terms + 1)
-    for d in range(1, n_terms + 1):
-        for m in range(d, n_terms + 1, d):
-            coeffs[m] += d
+    coeffs[1] = 1
+    for n in range(2, n_terms + 1):
+        p = spf[n] or n
+        m = n // p
+        if m % p:
+            coeffs[n] = coeffs[m] * (p + 1)
+        else:  # sigma(p^k) = (p + 1) * sigma(p^(k-1)) - p * sigma(p^(k-2))
+            coeffs[n] = coeffs[m] * (p + 1) - p * coeffs[m // p]
     return CoefficientTable(FULL_MONOID, tuple(coeffs))
 
 
 def psi_coeffs(n_terms: int) -> CoefficientTable:
-    """psi(n) = n * prod_{p|n} (1 + 1/p), exactly, via a smallest-prime-factor
-    sieve; coefficients of zeta(s)zeta(s-1)/zeta(2s)."""
+    """psi(n) = n * prod_{p|n} (1 + 1/p), exactly, multiplicatively from a
+    smallest-prime-factor sieve; coefficients of zeta(s)zeta(s-1)/zeta(2s)."""
     _check_terms(n_terms)
-    spf = list(range(n_terms + 1))
-    i = 2
-    while i * i <= n_terms:
-        if spf[i] == i:
-            for j in range(i * i, n_terms + 1, i):
-                if spf[j] == j:
-                    spf[j] = i
-        i += 1
+    spf = _smallest_prime_factors(n_terms)
     coeffs = [0] * (n_terms + 1)
-    if n_terms >= 1:
-        coeffs[1] = 1
+    coeffs[1] = 1
     for n in range(2, n_terms + 1):
-        p = spf[n]
+        p = spf[n] or n
         m = n // p
         coeffs[n] = coeffs[m] * p if m % p == 0 else coeffs[m] * (p + 1)
     return CoefficientTable(BIG_PICTURE, tuple(coeffs))
@@ -101,7 +111,12 @@ def count_classes_by_det(n_terms: int) -> CoefficientTable:
 
 def count_primitive_by_det(n_terms: int) -> CoefficientTable:
     """Number of primitive classes (coprime entries) of each determinant, by
-    enumeration with a content check on every representative."""
+    enumerating the canonical representatives and checking their content.
+
+    The content of (a, b; 0, d) is gcd(g, b) with g = gcd(a, d).  It depends
+    on b mod g only, and g | d, so [0, d) holds d/g copies of the count over
+    [0, g).
+    """
     _check_terms(n_terms)
     coeffs = [0] * (n_terms + 1)
     for a in range(1, n_terms + 1):
@@ -110,7 +125,7 @@ def count_primitive_by_det(n_terms: int) -> CoefficientTable:
             if g == 1:
                 coeffs[a * d] += d  # every b gives content gcd(1, b) = 1
             else:
-                coeffs[a * d] += sum(1 for b in range(d) if gcd(g, b) == 1)
+                coeffs[a * d] += d // g * sum(1 for b in range(g) if gcd(g, b) == 1)
     return CoefficientTable(BIG_PICTURE, tuple(coeffs))
 
 

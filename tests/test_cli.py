@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -195,6 +199,27 @@ class TestExtCommand:
         code, out, _ = run(capsys, "ext", "equiv", "2^1", "2^3", "--search-bound", "5")
         assert code == 0
         assert json.loads(out)["verdict"] == "Equivalent"
+
+
+class TestLargePrimeLiterals:
+    # trial division kept both running past a 10 s timeout; each now takes
+    # well under a second, so a 5 s timeout in a fresh process catches a
+    # regression
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (("ext", "member", "1", "--", "1/100000000000000000039", "0"), "false\n"),
+            (("ext", "apply", "1,0;0,1", "1000000000000000003^1"), "1000000000000000003^1\n"),
+        ],
+    )
+    def test_answers_in_time(self, argv, expected):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        result = subprocess.run(
+            [sys.executable, "-m", "m2z.cli", *argv], env=env, capture_output=True, text=True, timeout=5
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == expected
 
 
 class TestGoormaghtighCommand:

@@ -1,9 +1,17 @@
-"""Property tests for the invariants the big picture rests on."""
+"""Property tests for the invariants the big picture, the zeta tables and the
+extension classes rest on."""
+
+from collections import Counter
+from fractions import Fraction
+from math import prod
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from m2z.matrices import IntMatrix2, hnf, hyper_distance, primitive_decompose
+from m2z.primes import factor, is_prime, valuation
+from m2z.supernatural import ZERO_EVERYWHERE, ComponentwiseProfinite, ExtMatrix, ext_membership
+from m2z.zeta import count_classes_by_det, count_primitive_by_det, psi_coeffs, sigma_coeffs
 
 entries = st.integers(min_value=-30, max_value=30)
 nonsingular = st.builds(IntMatrix2, entries, entries, entries, entries).filter(lambda m: m.det() != 0)
@@ -22,3 +30,57 @@ def test_right_multiplication_is_an_isometry(a, b, g):
     moved_x = prim(x.to_matrix() @ g)
     moved_y = prim(y.to_matrix() @ g)
     assert hyper_distance(moved_x, moved_y) == hyper_distance(x, y)
+
+
+def next_prime(n: int) -> int:
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+# rho takes time in the square root of the second-largest prime factor, so
+# one prime may reach 10^30 and the others stay below 10^8
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 10**30).map(next_prime), st.lists(st.integers(2, 10**8).map(next_prime), max_size=3))
+def test_factor_of_a_product_of_primes(large, small):
+    primes = [large, *small]
+    f = factor(prod(primes))
+    assert f == Counter(primes)
+    assert list(f) == sorted(f)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3000))
+def test_formulas_equal_enumerations(n):
+    assert sigma_coeffs(n).coeffs == count_classes_by_det(n).coeffs
+    assert psi_coeffs(n).coeffs == count_primitive_by_det(n).coeffs
+
+
+def member_by_factoring(x: ExtMatrix, u: Fraction, v: Fraction) -> bool:
+    # the definition: check every support prime and every prime of the
+    # denominators of u and v
+    primes = set(x.s.support) | set(x.z.support) | set(x.s_prime.support)
+    primes |= set(factor(u.denominator)) | set(factor(v.denominator))
+    for p in primes:
+        top = x.s.value_at(p) * u + x.z.value_at(p) * v
+        if top != 0 and valuation(top, p) < 0:
+            return False
+        bottom = x.s_prime.value_at(p) * v
+        if bottom != 0 and valuation(bottom, p) < 0:
+            return False
+    return True
+
+
+supernaturals = st.one_of(
+    st.just(ZERO_EVERYWHERE),
+    st.dictionaries(st.sampled_from([2, 3, 5, 7, 11]), st.one_of(st.none(), st.integers(1, 3)), max_size=3).map(
+        ComponentwiseProfinite.of
+    ),
+)
+fractions = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 360))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.builds(ExtMatrix, supernaturals, supernaturals, supernaturals), fractions, fractions)
+def test_membership_without_factoring_matches_the_definition(x, u, v):
+    assert ext_membership(x, u, v) == member_by_factoring(x, u, v)

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from m2z.errors import Degenerate, NotAUnit, NotRepresentable
+from m2z.primes import is_prime
 from m2z.supernatural import (
     GOORMAGHTIGH_8191_NOTE,
     ONE,
@@ -346,6 +347,18 @@ class TestExtension:
         two = ExtMatrix(ONE, s_of(2), ZERO_EVERYWHERE)
         assert ext_membership(two, Fraction(-1, 3), Fraction(1, 3))
         assert not ext_membership(two, Fraction(1, 3), Fraction(1, 3))
+
+    def test_membership_needs_no_factoring(self):
+        # p*q has two 30-digit prime factors, which rho cannot split in time
+        p = next(n for n in range(10**29 + 1, 10**30, 2) if is_prime(n))
+        q = next(n for n in range(2 * 10**29 + 1, 10**30, 2) if is_prime(n))
+        x = ExtMatrix(ONE, ONE, ZERO_EVERYWHERE)
+        assert not ext_membership(x, Fraction(1, p * q), 0)
+        assert ext_membership(x, Fraction(1, p * q), Fraction(-1, p * q))
+        both = ComponentwiseProfinite.of({p: 1, q: 1})
+        assert ext_membership(ExtMatrix(both, ONE, ZERO_EVERYWHERE), Fraction(1, p * q), 0)
+        assert not ext_membership(ExtMatrix(both, ONE, ZERO_EVERYWHERE), Fraction(1, p * p * q), 0)
+        assert ext_membership(ExtMatrix(ONE, both, ZERO_EVERYWHERE), 0, Fraction(1, p * q))
 
     def test_membership_group_closure(self):
         rng = random.Random(555)
