@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import chain, islice
 
 from .bigpicture import ball, delta_direct, embed, export_dot, export_json, parse_vertex, unembed
 from .errors import DomainError
@@ -46,20 +47,18 @@ def _cmd_hnf(args) -> int:
 
 
 def _parse_class(text: str):
+    """(class, vertex) of a vertex or matrix literal; the vertex is None for
+    an imprimitive class."""
     if "=" in text:
-        return parse_vertex(text), True
-    return hnf(parse_matrix(text)), False
+        vertex = parse_vertex(text)
+        return embed(vertex), vertex
+    m = hnf(parse_matrix(text))
+    return m, (unembed(m) if m.is_primitive else None)
 
 
 def _cmd_dist(args) -> int:
-    first, first_is_vertex = _parse_class(args.x)
-    second, second_is_vertex = _parse_class(args.y)
-    mx = first if not first_is_vertex else None
-    my = second if not second_is_vertex else None
-    vx = first if first_is_vertex else (unembed(mx) if mx.is_primitive else None)
-    vy = second if second_is_vertex else (unembed(my) if my.is_primitive else None)
-    mx = mx if mx is not None else embed(vx)
-    my = my if my is not None else embed(vy)
+    mx, vx = _parse_class(args.x)
+    my, vy = _parse_class(args.y)
     d = hyper_distance(mx, my)
     if vx is not None and vy is not None:
         via = delta_direct(vx, vy)
@@ -91,47 +90,31 @@ _ZETA_ROUTES = {
 }
 
 
+def _write_csv(header: str | None, lines) -> None:
+    """Write the header (when given) and the lines, 2**14 rows per write."""
+    rows = iter(lines) if header is None else chain((header,), lines)
+    while chunk := list(islice(rows, 1 << 14)):
+        sys.stdout.write("\n".join(chunk) + "\n")
+
+
 def _cmd_zeta(args) -> int:
     formula_fn, enumerate_fn = _ZETA_ROUTES[args.which]
-    n = args.terms
-    if args.mode == "formula":
-        tables = [formula_fn(n)]
-    elif args.mode == "enumerate":
-        tables = [enumerate_fn(n)]
-    else:
-        tables = [formula_fn(n), enumerate_fn(n)]
+    fns = {"formula": (formula_fn,), "enumerate": (enumerate_fn,), "both": (formula_fn, enumerate_fn)}[args.mode]
+    columns = [fn(args.terms).coeffs[1:] for fn in fns]
+    mism = sum(f != e for f, e in zip(*columns)) if len(columns) == 2 else None
     if args.format == "json":
-        if len(tables) == 1:
-            print(json.dumps(list(tables[0].coeffs[1:])))
+        if mism is None:
+            print(json.dumps(list(columns[0])))
         else:
-            mism = sum(1 for f, e in zip(tables[0].coeffs, tables[1].coeffs) if f != e)
-            print(
-                json.dumps(
-                    {
-                        "formula": list(tables[0].coeffs[1:]),
-                        "enumerated": list(tables[1].coeffs[1:]),
-                        "mismatches": mism,
-                    }
-                )
-            )
-            print(f"mismatches: {mism}", file=sys.stderr)
-        return 0
-    lines = []
-    if len(tables) == 1:
-        if args.header:
-            lines.append("n,coefficient")
-        lines.extend(f"{i},{c}" for i, c in enumerate(tables[0].coeffs[1:], start=1))
+            print(json.dumps({"formula": list(columns[0]), "enumerated": list(columns[1]), "mismatches": mism}))
+    elif mism is None:
+        header = "n,coefficient" if args.header else None
+        _write_csv(header, (f"{i},{c}" for i, c in enumerate(columns[0], start=1)))
     else:
-        if args.header:
-            lines.append("n,formula,enumerated")
-        mism = 0
-        for i in range(1, n + 1):
-            f, e = tables[0].coeffs[i], tables[1].coeffs[i]
-            mism += f != e
-            lines.append(f"{i},{f},{e}")
+        header = "n,formula,enumerated" if args.header else None
+        _write_csv(header, (f"{i},{f},{e}" for i, (f, e) in enumerate(zip(*columns), start=1)))
+    if mism is not None:
         print(f"mismatches: {mism}", file=sys.stderr)
-    if lines:
-        sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -174,12 +157,7 @@ def _cmd_ext(args) -> int:
 
 def _cmd_goormaghtigh(args) -> int:
     rows = goormaghtigh_search(args.bound)
-    lines = []
-    if args.header:
-        lines.append("x,y,n,m,value")
-    lines.extend(",".join(str(v) for v in row) for row in rows)
-    if lines:
-        sys.stdout.write("\n".join(lines) + "\n")
+    _write_csv("x,y,n,m,value" if args.header else None, (",".join(map(str, row)) for row in rows))
     if any(row[4] == 8191 for row in rows):
         print(f"note: {GOORMAGHTIGH_8191_NOTE}", file=sys.stderr)
     return 0
@@ -251,7 +229,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:

@@ -49,39 +49,42 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IntMatrix2:
-    """A 2x2 integer matrix; plain data plus the handful of ops we need."""
+    """A 2x2 integer matrix (a, b; c, d); every operation builds ``type(self)``."""
 
-    a11: int
-    a12: int
-    a21: int
-    a22: int
+    a: int
+    b: int
+    c: int
+    d: int
 
     @classmethod
     def identity(cls) -> "IntMatrix2":
         return cls(1, 0, 0, 1)
 
     def det(self) -> int:
-        return self.a11 * self.a22 - self.a12 * self.a21
+        return self.a * self.d - self.b * self.c
+
+    def entries(self) -> tuple[int, int, int, int]:
+        return (self.a, self.b, self.c, self.d)
 
     def adjugate(self) -> "IntMatrix2":
-        return IntMatrix2(self.a22, -self.a12, -self.a21, self.a11)
+        return type(self)(self.d, -self.b, -self.c, self.a)
 
-    def scale(self, c: int) -> "IntMatrix2":
-        return IntMatrix2(c * self.a11, c * self.a12, c * self.a21, c * self.a22)
+    def scale(self, k: int) -> "IntMatrix2":
+        return type(self)(k * self.a, k * self.b, k * self.c, k * self.d)
 
     def __matmul__(self, other: "IntMatrix2") -> "IntMatrix2":
-        return IntMatrix2(
-            self.a11 * other.a11 + self.a12 * other.a21,
-            self.a11 * other.a12 + self.a12 * other.a22,
-            self.a21 * other.a11 + self.a22 * other.a21,
-            self.a21 * other.a12 + self.a22 * other.a22,
+        return type(self)(
+            self.a * other.a + self.b * other.c,
+            self.a * other.b + self.b * other.d,
+            self.c * other.a + self.d * other.c,
+            self.c * other.b + self.d * other.d,
         )
 
     def rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return ((self.a11, self.a12), (self.a21, self.a22))
+        return ((self.a, self.b), (self.c, self.d))
 
     def __str__(self) -> str:
-        return f"{self.a11},{self.a12};{self.a21},{self.a22}"
+        return f"{self.a},{self.b};{self.c},{self.d}"
 
 
 @dataclass(frozen=True)
@@ -310,8 +313,8 @@ def classes_with_det(n: int) -> Iterator[MatrixClass]:
             yield MatrixClass(a, b, d)
 
 
-def parse_matrix(text: str) -> IntMatrix2:
-    """Parse the literal "a11,a12;a21,a22" (integers, semicolon rows)."""
+def _parse_entries(text: str, number) -> list:
+    """The four entries of the literal "a,b;c,d", each converted by ``number``."""
     rows = text.split(";")
     if len(rows) != 2:
         raise ValueError(f"expected two ';'-separated rows in {text!r}")
@@ -320,6 +323,10 @@ def parse_matrix(text: str) -> IntMatrix2:
         parts = row.split(",")
         if len(parts) != 2:
             raise ValueError(f"expected two ','-separated entries in {row!r}")
-        for part in parts:
-            entries.append(int(part.strip()))
-    return IntMatrix2(*entries)
+        entries.extend(number(part.strip()) for part in parts)
+    return entries
+
+
+def parse_matrix(text: str) -> IntMatrix2:
+    """Parse the literal "a,b;c,d" (integers, semicolon rows)."""
+    return IntMatrix2(*_parse_entries(text, int))

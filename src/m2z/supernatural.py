@@ -27,6 +27,7 @@ from math import gcd, lcm, prod
 from typing import Iterator, Union
 
 from .errors import Degenerate, NotAUnit, NotRepresentable
+from .matrices import IntMatrix2, _parse_entries
 from .primes import factor, is_prime
 
 __all__ = [
@@ -190,17 +191,14 @@ def parse_supernatural(text: str) -> ComponentwiseProfinite:
 
 
 @dataclass(frozen=True)
-class MoebiusMatrix:
+class MoebiusMatrix(IntMatrix2):
     """A projective rational 2x2 matrix (a, b; c, d) with ad - bc != 0.
 
     The canonical representative has coprime integer entries with the first
     nonzero entry positive, so equality of fields is projective equality.
+    Products, ``identity`` and the rest come from :class:`IntMatrix2` and are
+    normalized on construction.
     """
-
-    a: int
-    b: int
-    c: int
-    d: int
 
     def __post_init__(self):
         vals = [Fraction(v) for v in (self.a, self.b, self.c, self.d)]
@@ -216,40 +214,10 @@ class MoebiusMatrix:
         for name, value in zip(("a", "b", "c", "d"), ints):
             object.__setattr__(self, name, value)
 
-    @classmethod
-    def identity(cls) -> "MoebiusMatrix":
-        return cls(1, 0, 0, 1)
-
-    def det(self) -> int:
-        return self.a * self.d - self.b * self.c
-
-    def entries(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
-
-    def __matmul__(self, other: "MoebiusMatrix") -> "MoebiusMatrix":
-        return MoebiusMatrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def __str__(self) -> str:
-        return f"{self.a},{self.b};{self.c},{self.d}"
-
 
 def parse_moebius(text: str) -> MoebiusMatrix:
     """Parse "a,b;c,d" with integer or fractional entries."""
-    rows = text.split(";")
-    if len(rows) != 2:
-        raise ValueError(f"expected two ';'-separated rows in {text!r}")
-    entries = []
-    for row in rows:
-        parts = row.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"expected two ','-separated entries in {row!r}")
-        entries.extend(Fraction(part.strip()) for part in parts)
-    return MoebiusMatrix(*entries)
+    return MoebiusMatrix(*_parse_entries(text, Fraction))
 
 
 def _power_exponent(p: int, w: Fraction) -> int | None | str:

@@ -141,6 +141,28 @@ class TestZetaCommand:
         code, _, _ = run(capsys, "zeta", "--which", "X", "--terms", "4")
         assert code == 2
 
+    @pytest.mark.parametrize("which", ["Pbar", "P"])
+    def test_absurd_term_count_is_a_usage_error(self, capsys, which):
+        # 10**20 terms cannot even be sized as a list, so this allocates nothing
+        code, out, err = run(capsys, "zeta", "--which", which, "--terms", str(10**20))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parse error: ")
+
+    def test_long_csv_is_written_in_chunks(self, capsys, monkeypatch):
+        writes = []
+        real_write = sys.stdout.write
+
+        def write(text):
+            writes.append(text)
+            return real_write(text)
+
+        monkeypatch.setattr(sys.stdout, "write", write)
+        code, out, _ = run(capsys, "zeta", "--which", "Pbar", "--terms", "40000", "--header")
+        assert code == 0
+        assert out == "n,coefficient\n" + "".join(f"{i},1\n" for i in range(1, 40001))
+        assert len(writes) > 2
+
 
 class TestExtCommand:
     def test_equiv_prime_powers(self, capsys):
@@ -236,6 +258,11 @@ class TestGoormaghtighCommand:
     def test_header(self, capsys):
         _, out, _ = run(capsys, "goormaghtigh", "--bound", "31", "--header")
         assert out == "x,y,n,m,value\n2,5,5,3,31\n"
+
+    def test_header_alone_below_threshold(self, capsys):
+        code, out, _ = run(capsys, "goormaghtigh", "--bound", "30", "--header")
+        assert code == 0
+        assert out == "x,y,n,m,value\n"
 
     def test_note_emitted_at_second_solution(self, capsys):
         code, out, err = run(capsys, "goormaghtigh", "--bound", "10000")

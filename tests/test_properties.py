@@ -3,14 +3,36 @@ extension classes rest on."""
 
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
+from operator import matmul
 from math import prod
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from m2z.matrices import IntMatrix2, hnf, hyper_distance, primitive_decompose
+from m2z.bigpicture import BigPictureVertex, parse_vertex
+from m2z.errors import Degenerate
+from m2z.matrices import (
+    IntMatrix2,
+    MatrixClass,
+    divides,
+    hnf,
+    hyper_distance,
+    join,
+    meet,
+    parse_matrix,
+    primitive_decompose,
+)
 from m2z.primes import factor, is_prime, valuation
-from m2z.supernatural import ZERO_EVERYWHERE, ComponentwiseProfinite, ExtMatrix, ext_membership
+from m2z.supernatural import (
+    ZERO_EVERYWHERE,
+    ComponentwiseProfinite,
+    ExtMatrix,
+    MoebiusMatrix,
+    ext_membership,
+    parse_moebius,
+    parse_supernatural,
+)
 from m2z.zeta import count_classes_by_det, count_primitive_by_det, psi_coeffs, sigma_coeffs
 
 entries = st.integers(min_value=-30, max_value=30)
@@ -84,3 +106,103 @@ fractions = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 360))
 @given(st.builds(ExtMatrix, supernaturals, supernaturals, supernaturals), fractions, fractions)
 def test_membership_without_factoring_matches_the_definition(x, u, v):
     assert ext_membership(x, u, v) == member_by_factoring(x, u, v)
+
+
+# CLI literals survive a print-and-parse round trip
+
+
+@settings(deadline=None)
+@given(st.builds(IntMatrix2, entries, entries, entries, entries))
+def test_matrix_literal_round_trip(m):
+    assert parse_matrix(str(m)) == m
+
+
+def moebius_or_none(*vals):
+    try:
+        return MoebiusMatrix(*vals)
+    except Degenerate:
+        return None
+
+
+# fractional entries normalize to coprime integers on construction
+moebius = st.builds(moebius_or_none, fractions, fractions, fractions, fractions).filter(lambda g: g is not None)
+
+
+@settings(deadline=None)
+@given(moebius)
+def test_moebius_literal_round_trip(g):
+    assert parse_moebius(str(g)) == g
+
+
+@settings(deadline=None)
+@given(st.builds(BigPictureVertex.of, fractions.filter(lambda f: f > 0), fractions))
+def test_vertex_literal_round_trip(v):
+    assert parse_vertex(str(v)) == v
+
+
+@settings(deadline=None)
+@given(supernaturals)
+def test_supernatural_literal_round_trip(z):
+    assert parse_supernatural(str(z)) == z
+
+
+# the divisibility lattice and the hyper-distance
+
+small = st.integers(1, 12)
+classes = st.builds(lambda a, d, b: MatrixClass(a, b % d, d), small, small, st.integers(0, 11))
+small_entries = st.integers(-12, 12)
+small_nonsingular = st.builds(IntMatrix2, small_entries, small_entries, small_entries, small_entries).filter(
+    lambda m: m.det() != 0
+)
+# these generate GL2(Z)
+elementary = st.sampled_from(
+    [
+        IntMatrix2(1, 1, 0, 1),
+        IntMatrix2(1, -1, 0, 1),
+        IntMatrix2(1, 0, 1, 1),
+        IntMatrix2(0, 1, 1, 0),
+        IntMatrix2(-1, 0, 0, 1),
+    ]
+)
+unimodular = st.lists(elementary, max_size=12).map(lambda us: reduce(matmul, us, IntMatrix2.identity()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(classes, classes)
+def test_absorption(x, y):
+    assert join(x, meet(x, y)) == x
+    assert meet(x, join(x, y)) == x
+
+
+@settings(max_examples=300, deadline=None)
+@given(classes, classes, small_nonsingular)
+def test_modular_law(x, y, m):
+    z = hnf(m @ x.to_matrix())  # a multiple of x, so x | z
+    assert divides(x, z)
+    assert join(x, meet(y, z)) == meet(join(x, y), z)
+
+
+@settings(max_examples=300, deadline=None)
+@given(classes, classes)
+def test_divides_iff_meet_is_the_smaller(x, y):
+    assert divides(x, y) == (meet(x, y) == x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(classes, classes)
+def test_distance_symmetric_and_one_exactly_on_the_diagonal(x, y):
+    assert hyper_distance(x, y) == hyper_distance(y, x)
+    assert (hyper_distance(x, y) == 1) == (x == y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(classes, classes, classes)
+def test_multiplicative_triangle_inequality(x, y, z):
+    assert hyper_distance(x, z) <= hyper_distance(x, y) * hyper_distance(y, z)
+
+
+@settings(max_examples=300, deadline=None)
+@given(unimodular, small_nonsingular)
+def test_hnf_invariant_under_gl2z(u, m):
+    assert abs(u.det()) == 1
+    assert hnf(u @ m) == hnf(m)

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from m2z.errors import Degenerate, NotAUnit, NotRepresentable
+from m2z.matrices import IntMatrix2
 from m2z.primes import is_prime
 from m2z.supernatural import (
     GOORMAGHTIGH_8191_NOTE,
@@ -95,6 +96,15 @@ class TestMoebiusMatrix:
     def test_degenerate_rejected(self):
         with pytest.raises(Degenerate):
             MoebiusMatrix(1, 2, 2, 4)
+
+    def test_product_is_normalized(self):
+        g = MoebiusMatrix(2, 0, 0, 1) @ MoebiusMatrix(1, 0, 0, 2)
+        assert type(g) is MoebiusMatrix
+        assert g == MoebiusMatrix.identity()
+        assert g.entries() == (1, 0, 0, 1)
+        m = IntMatrix2(2, 0, 0, 1) @ IntMatrix2(1, 0, 0, 2)
+        assert type(m) is IntMatrix2
+        assert m == IntMatrix2(2, 0, 0, 2)
 
     def test_parse(self):
         assert parse_moebius("31,0;-1,30") == MoebiusMatrix(31, 0, -1, 30)
