@@ -172,7 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_hnf = sub.add_parser("hnf", help="canonical class of an integer matrix")
-    p_hnf.add_argument("matrix", help='matrix literal "a11,a12;a21,a22"')
+    p_hnf.add_argument("matrix", help='matrix literal "a,b;c,d"')
     p_hnf.set_defaults(func=_cmd_hnf)
 
     p_dist = sub.add_parser("dist", help="hyper-distance between two classes or vertices")

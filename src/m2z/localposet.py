@@ -1,22 +1,17 @@
 """Per-prime structure of matrix classes over the p-adic integers.
 
-For a fixed prime p the classes are triples (p^k, z; 0, p^l) with
-0 <= z < p^l; the exponents may also be infinite (with p^inf = 0), which is
-how zero-determinant classes are written.  Finite classes form a graded
-poset: moving up one edge multiplies the determinant by p, and the local
-census sorts every class into one of four types by whether its level and
-niveau vanish.
-
-Infinite-l classes cannot store an exact z, so they carry the number of
-known p-adic digits instead; they exist for display and sanity checks only,
-and neighbor enumeration is defined just for finite classes.
+For a fixed prime p the classes of nonzero determinant are triples
+(p^k, z; 0, p^l) with integers k, l >= 0 and 0 <= z < p^l.  They form a
+graded poset: moving up one edge multiplies the determinant by p, and the
+local census sorts every class into one of four types by whether its level
+and niveau vanish.  Infinite exponents (factors p^inf) are supernatural
+numbers and live in ``m2z.supernatural``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import total_ordering
 from typing import Iterator
 
 from .errors import PrimeMismatch
@@ -24,8 +19,6 @@ from .matrices import MatrixClass
 from .primes import is_prime, valuation
 
 __all__ = [
-    "ExtNat",
-    "INFINITY",
     "LocalClass",
     "LocalType",
     "localize",
@@ -36,75 +29,6 @@ __all__ = [
     "classes_with_det_valuation",
     "local_class_count",
 ]
-
-
-@total_ordering
-class ExtNat:
-    """A natural number extended with a maximal element (printed "inf").
-
-    Addition saturates: inf + x = inf.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: int | None):
-        if value is not None and (not isinstance(value, int) or value < 0):
-            raise ValueError(f"ExtNat needs a nonnegative integer or None, got {value!r}")
-        object.__setattr__(self, "value", value)
-
-    @property
-    def is_finite(self) -> bool:
-        return self.value is not None
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = ExtNat(other)
-        if not isinstance(other, ExtNat):
-            return NotImplemented
-        return self.value == other.value
-
-    def __lt__(self, other) -> bool:
-        if isinstance(other, int):
-            other = ExtNat(other)
-        if not isinstance(other, ExtNat):
-            return NotImplemented
-        if self.value is None:
-            return False
-        if other.value is None:
-            return True
-        return self.value < other.value
-
-    def __add__(self, other) -> "ExtNat":
-        if isinstance(other, int):
-            other = ExtNat(other)
-        if not isinstance(other, ExtNat):
-            return NotImplemented
-        if self.value is None or other.value is None:
-            return INFINITY
-        return ExtNat(self.value + other.value)
-
-    __radd__ = __add__
-
-    def __hash__(self) -> int:
-        return hash(("ExtNat", self.value))
-
-    def __int__(self) -> int:
-        if self.value is None:
-            raise ValueError("infinite ExtNat has no integer value")
-        return self.value
-
-    def __str__(self) -> str:
-        return "inf" if self.value is None else str(self.value)
-
-    def __repr__(self) -> str:
-        return f"ExtNat({self})"
-
-
-INFINITY = ExtNat(None)
-
-
-def _as_extnat(x) -> ExtNat:
-    return x if isinstance(x, ExtNat) else ExtNat(x)
 
 
 class LocalType(Enum):
@@ -118,83 +42,32 @@ class LocalType(Enum):
 
 @dataclass(frozen=True)
 class LocalClass:
-    """The class of (p^k, z; 0, p^l) over the p-adic integers.
-
-    Finite l: 0 <= z < p^l and the representative is unique.
-    l = inf with k finite: z is a truncation carrying ``z_digits`` known
-    p-adic digits.  k = inf: the representative is (0, 0; 0, p^l), so z = 0.
-    """
+    """The class of (p^k, z; 0, p^l) over the p-adic integers, 0 <= z < p^l."""
 
     p: int
-    k: ExtNat
-    l: ExtNat
+    k: int
+    l: int
     z: int = 0
-    z_digits: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "k", _as_extnat(self.k))
-        object.__setattr__(self, "l", _as_extnat(self.l))
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
-        if self.z < 0:
-            raise ValueError("z must be nonnegative")
-        if not self.k.is_finite:
-            if self.z != 0 or self.z_digits is not None:
-                raise ValueError("k = inf forces the representative (0,0;0,p^l) with z = 0")
-        elif self.l.is_finite:
-            if self.z_digits is not None:
-                raise ValueError("finite classes carry no digit tag")
-            if self.z >= self.p ** int(self.l):
-                raise ValueError(f"need z < p^l = {self.p ** int(self.l)}, got z={self.z}")
-        else:
-            if self.z_digits is None or self.z_digits < 0:
-                raise ValueError("l = inf needs a nonnegative z_digits tag")
-            if self.z >= self.p ** self.z_digits:
-                raise ValueError("z exceeds its declared digit count")
+        if not all(isinstance(e, int) and e >= 0 for e in (self.k, self.l)):
+            raise ValueError(f"exponents must be nonnegative integers, got k={self.k!r}, l={self.l!r}")
+        if not isinstance(self.z, int) or not 0 <= self.z < self.p**self.l:
+            raise ValueError(f"need 0 <= z < p^l = {self.p**self.l}, got z={self.z}")
 
-    @property
-    def is_finite(self) -> bool:
-        return self.k.is_finite and self.l.is_finite
-
-    def det_valuation(self) -> ExtNat:
+    def det_valuation(self) -> int:
         return self.k + self.l
 
-    def level(self) -> ExtNat:
-        """Largest t with p^t dividing all entries (from known digits)."""
+    def level(self) -> int:
+        """Largest t with p^t dividing all entries."""
         if self.z == 0:
-            vz = INFINITY if (self.l.is_finite or self.z_digits is None) else ExtNat(self.z_digits)
-        else:
-            vz = ExtNat(valuation(self.z, self.p))
-        return min(self.k, self.l, vz)
+            return min(self.k, self.l)
+        return min(self.k, self.l, valuation(self.z, self.p))
 
-    def niveau(self) -> ExtNat:
-        if not self.is_finite:
-            return INFINITY
-        return ExtNat(int(self.k) + int(self.l) - 2 * int(self.level()))
-
-    def eq_at_known_digits(self, other: "LocalClass") -> tuple[bool, int | None]:
-        """Compare, truncating both z's to the digits both sides know.
-
-        Returns (equal, digits_used); digits_used is None when both sides are
-        exact (finite l or k = inf), in which case the comparison is exact.
-        """
-        if self.p != other.p:
-            raise PrimeMismatch(f"primes {self.p} and {other.p} differ")
-        if self.k != other.k or self.l != other.l:
-            return False, None
-        digits = []
-        for c in (self, other):
-            if c.l.is_finite:
-                digits.append(int(c.l))
-            elif c.z_digits is not None:
-                digits.append(c.z_digits)
-        if not self.k.is_finite or not digits:
-            return self.z == other.z, None
-        if self.l.is_finite:
-            return self.z == other.z, None
-        m = min(digits)
-        mod = self.p ** m
-        return self.z % mod == other.z % mod, m
+    def niveau(self) -> int:
+        return self.k + self.l - 2 * self.level()
 
     def __str__(self) -> str:
         return f"({self.p}^{self.k}, {self.z}; 0, {self.p}^{self.l})"
@@ -216,12 +89,7 @@ def localize(m: MatrixClass, p: int) -> LocalClass:
         mod = p**l
         unit = m.a // p**k
         z = (m.b * pow(unit, -1, mod)) % mod
-    return LocalClass(p, ExtNat(k), ExtNat(l), z)
-
-
-def _require_finite(x: LocalClass, what: str):
-    if not x.is_finite:
-        raise ValueError(f"{what} is only defined for classes of nonzero determinant")
+    return LocalClass(p, k, l, z)
 
 
 def local_leq(x: LocalClass, y: LocalClass) -> bool:
@@ -233,13 +101,9 @@ def local_leq(x: LocalClass, y: LocalClass) -> bool:
     """
     if x.p != y.p:
         raise PrimeMismatch(f"primes {x.p} and {y.p} differ")
-    _require_finite(x, "local_leq")
-    _require_finite(y, "local_leq")
     if x.k > y.k or x.l > y.l:
         return False
-    p = x.p
-    shift = int(y.k) - int(x.k)
-    return (y.z - p**shift * x.z) % p ** int(x.l) == 0
+    return (y.z - x.p ** (y.k - x.k) * x.z) % x.p**x.l == 0
 
 
 def upward_neighbors(x: LocalClass) -> list[LocalClass]:
@@ -248,33 +112,29 @@ def upward_neighbors(x: LocalClass) -> list[LocalClass]:
     There are always exactly p + 1: the shape (k, l+1) contributes the p
     lifts z + i*p^l, the shape (k+1, l) the single class with z' = p*z mod p^l.
     """
-    _require_finite(x, "upward_neighbors")
-    p, k, l = x.p, int(x.k), int(x.l)
+    p, k, l = x.p, x.k, x.l
     out = [LocalClass(p, k, l + 1, x.z + i * p**l) for i in range(p)]
-    out.append(LocalClass(p, k + 1, l, (p * x.z) % p**l if l else 0))
-    out.sort(key=lambda c: (int(c.k), int(c.l), c.z))
+    out.append(LocalClass(p, k + 1, l, (p * x.z) % p**l))
     return out
 
 
 def downward_neighbors(x: LocalClass) -> list[LocalClass]:
     """All y <= x with v_p(det x) = v_p(det y) + 1, sorted by (k, l, z)."""
-    _require_finite(x, "downward_neighbors")
-    p, k, l = x.p, int(x.k), int(x.l)
+    p, k, l = x.p, x.k, x.l
     out = []
-    if l >= 1:
-        out.append(LocalClass(p, k, l - 1, x.z % p ** (l - 1)))
     if k >= 1:
         if l == 0:
-            out.append(LocalClass(p, k - 1, 0, 0))
+            out.append(LocalClass(p, k - 1, 0))
         elif x.z % p == 0:
             # solutions of p*z' == z mod p^l in [0, p^l)
             out.extend(LocalClass(p, k - 1, l, x.z // p + t * p ** (l - 1)) for t in range(p))
-    out.sort(key=lambda c: (int(c.k), int(c.l), c.z))
+    if l >= 1:
+        out.append(LocalClass(p, k, l - 1, x.z % p ** (l - 1)))
     return out
 
 
 def classify(x: LocalClass) -> LocalType:
-    """The census cell of x; an infinite niveau counts as positive."""
+    """The census cell of x."""
     lam_pos = x.level() > 0
     nu_pos = x.niveau() > 0
     if lam_pos:
@@ -283,7 +143,7 @@ def classify(x: LocalClass) -> LocalType:
 
 
 def classes_with_det_valuation(p: int, n: int) -> Iterator[LocalClass]:
-    """All finite classes with v_p(det) = n, in (k, l, z) order."""
+    """All classes with v_p(det) = n, in (k, l, z) order."""
     if n < 0:
         raise ValueError("valuation must be nonnegative")
     for k in range(n + 1):
@@ -293,5 +153,5 @@ def classes_with_det_valuation(p: int, n: int) -> Iterator[LocalClass]:
 
 
 def local_class_count(p: int, n: int) -> int:
-    """Number of finite classes with v_p(det) = n: (p^(n+1) - 1)/(p - 1)."""
+    """Number of classes with v_p(det) = n: (p^(n+1) - 1)/(p - 1)."""
     return (p ** (n + 1) - 1) // (p - 1)

@@ -44,6 +44,12 @@ class TestHnfCommand:
         code2, out2, _ = run(capsys, "hnf", f"{a},{b};0,{d}")
         assert json.loads(out2) == payload
 
+    def test_help_names_the_literal_like_every_other_command(self, capsys):
+        code, out, _ = run(capsys, "hnf", "--help")
+        assert code == 0
+        assert '"a,b;c,d"' in out
+        assert "a11" not in out
+
 
 class TestDistCommand:
     def test_identical_inputs(self, capsys):

@@ -4,8 +4,6 @@ import pytest
 
 from m2z.errors import PrimeMismatch
 from m2z.localposet import (
-    INFINITY,
-    ExtNat,
     LocalClass,
     LocalType,
     classes_with_det_valuation,
@@ -35,82 +33,39 @@ def census_counts(x, up, down):
     return (up_same, len(up) - up_same, down_same, len(down) - down_same)
 
 
-class TestExtNat:
-    def test_order(self):
-        assert ExtNat(0) < ExtNat(3) < INFINITY
-        assert not INFINITY < INFINITY
-        assert max(ExtNat(5), INFINITY) == INFINITY
-        assert ExtNat(2) == 2 and ExtNat(2) <= 2 and ExtNat(1) < 2
-
-    def test_addition_saturates(self):
-        assert ExtNat(2) + ExtNat(3) == ExtNat(5)
-        assert INFINITY + ExtNat(7) == INFINITY
-        assert ExtNat(7) + INFINITY == INFINITY
-        assert 1 + ExtNat(1) == ExtNat(2)
-
-    def test_int_conversion(self):
-        assert int(ExtNat(4)) == 4
-        with pytest.raises(ValueError):
-            int(INFINITY)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            ExtNat(-1)
-
-
 class TestLocalClassInvariants:
     def test_finite_bounds(self):
         LocalClass(2, 1, 2, 3)
         with pytest.raises(ValueError):
             LocalClass(2, 1, 2, 4)
         with pytest.raises(ValueError):
+            LocalClass(2, 0, 1, 0.5)
+        with pytest.raises(ValueError):
             LocalClass(4, 0, 0, 0)  # composite p
 
-    def test_infinite_l_needs_digits(self):
-        c = LocalClass(2, 0, INFINITY, 5, z_digits=3)
-        assert not c.is_finite
-        assert c.niveau() == INFINITY
-        with pytest.raises(ValueError):
-            LocalClass(2, 0, INFINITY, 5)
-
-    def test_infinite_k_forces_zero_z(self):
-        c = LocalClass(3, INFINITY, 2, 0)
-        assert c.level() == ExtNat(2)
-        with pytest.raises(ValueError):
-            LocalClass(3, INFINITY, 2, 1)
-
-    def test_truncated_equality_reports_digits(self):
-        a = LocalClass(2, 1, INFINITY, 0b101, z_digits=3)
-        b = LocalClass(2, 1, INFINITY, 0b1101, z_digits=4)
-        equal, digits = a.eq_at_known_digits(b)
-        assert equal and digits == 3
-        c = LocalClass(2, 1, INFINITY, 0b110, z_digits=3)
-        equal, digits = a.eq_at_known_digits(c)
-        assert not equal and digits == 3
-
-    def test_zero_matrix_classifies_positive(self):
-        zero = LocalClass(2, INFINITY, INFINITY, 0)
-        assert zero.level() == INFINITY
-        assert classify(zero) is LocalType.POS_POS
+    def test_rejects_bad_exponents(self):
+        for k, l in ((-1, 0), (0, -1), (1.5, 0)):
+            with pytest.raises(ValueError):
+                LocalClass(2, k, l)
 
 
 class TestLocalize:
     def test_identity(self):
         c = localize(MatrixClass(1, 0, 1), 2)
-        assert (c.k, c.l, c.z) == (ExtNat(0), ExtNat(0), 0)
+        assert (c.k, c.l, c.z) == (0, 0, 0)
 
     def test_unit_part_reduction(self):
         c = localize(MatrixClass(2, 1, 4), 2)
-        assert (int(c.k), int(c.l), c.z) == (1, 2, 1)
+        assert (c.k, c.l, c.z) == (1, 2, 1)
 
     def test_away_from_support(self):
         c = localize(MatrixClass(6, 0, 1), 5)
-        assert (int(c.k), int(c.l), c.z) == (0, 0, 0)
+        assert (c.k, c.l, c.z) == (0, 0, 0)
 
     def test_odd_unit_inverse(self):
         # [[3, 1], [0, 8]] at p = 2: z = 1 * 3^-1 mod 8 = 3
         c = localize(MatrixClass(3, 1, 8), 2)
-        assert (int(c.k), int(c.l), c.z) == (0, 3, 3)
+        assert (c.k, c.l, c.z) == (0, 3, 3)
 
     def test_level_consistency_with_global(self):
         from m2z.matrices import level
@@ -121,7 +76,7 @@ class TestLocalize:
             k, l = rng.randint(0, 3), rng.randint(0, 3)
             d = p**l
             x = MatrixClass(p**k, rng.randrange(d), d)
-            assert int(localize(x, p).level()) == level(x, p)
+            assert localize(x, p).level() == level(x, p)
 
 
 class TestLocalOrder:
@@ -159,13 +114,13 @@ class TestNeighbors:
 
     def test_root_upward(self):
         up = upward_neighbors(LocalClass(2, 0, 0, 0))
-        assert [(int(c.k), int(c.l), c.z) for c in up] == [(0, 1, 0), (0, 1, 1), (1, 0, 0)]
+        assert [(c.k, c.l, c.z) for c in up] == [(0, 1, 0), (0, 1, 1), (1, 0, 0)]
         assert len(upward_neighbors(LocalClass(3, 0, 0, 0))) == 4
 
     def test_level_raising_unique(self):
         up = upward_neighbors(LocalClass(2, 0, 1, 1))
         assert len(up) == 3
-        assert sum(1 for c in up if c.level() == ExtNat(1)) == 1
+        assert sum(1 for c in up if c.level() == 1) == 1
 
     def test_scalar_class_downward(self):
         down = downward_neighbors(LocalClass(2, 1, 1, 0))
@@ -173,7 +128,7 @@ class TestNeighbors:
 
     def test_single_downward(self):
         down = downward_neighbors(LocalClass(2, 0, 2, 1))
-        assert [(int(c.k), int(c.l), c.z) for c in down] == [(0, 1, 1)]
+        assert [(c.k, c.l, c.z) for c in down] == [(0, 1, 1)]
 
     def test_updown_roundtrip(self):
         rng = random.Random(31)
@@ -192,9 +147,9 @@ class TestNeighbors:
             for n in range(4):
                 for x in classes_with_det_valuation(p, n):
                     for y in upward_neighbors(x):
-                        assert local_leq(x, y) and int(y.det_valuation()) == n + 1
+                        assert local_leq(x, y) and y.det_valuation() == n + 1
                     for y in downward_neighbors(x):
-                        assert local_leq(y, x) and int(y.det_valuation()) == n - 1
+                        assert local_leq(y, x) and y.det_valuation() == n - 1
 
 
 class TestCensus:

@@ -1,5 +1,5 @@
-"""Property tests for the invariants the big picture, the zeta tables and the
-extension classes rest on."""
+"""Property tests for the invariants the big picture, the zeta tables, the
+extension classes and the local posets rest on."""
 
 from collections import Counter
 from fractions import Fraction
@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from m2z.bigpicture import BigPictureVertex, parse_vertex
-from m2z.errors import Degenerate
+from m2z.errors import Degenerate, DomainError
+from m2z.localposet import localize
 from m2z.matrices import (
     IntMatrix2,
     MatrixClass,
@@ -19,7 +20,9 @@ from m2z.matrices import (
     hnf,
     hyper_distance,
     join,
+    level,
     meet,
+    niveau,
     parse_matrix,
     primitive_decompose,
 )
@@ -30,8 +33,13 @@ from m2z.supernatural import (
     ExtMatrix,
     MoebiusMatrix,
     ext_membership,
+    moebius_apply,
+    multiply,
+    p_infinity,
     parse_moebius,
     parse_supernatural,
+    prime_power_witness,
+    s_of,
 )
 from m2z.zeta import count_classes_by_det, count_primitive_by_det, psi_coeffs, sigma_coeffs
 
@@ -206,3 +214,69 @@ def test_multiplicative_triangle_inequality(x, y, z):
 def test_hnf_invariant_under_gl2z(u, m):
     assert abs(u.det()) == 1
     assert hnf(u @ m) == hnf(m)
+
+
+# the projective action on extension classes
+
+moebius_primes = st.sampled_from([2, 3, 5, 7])
+
+
+def witness_chain(p, exponents):
+    # s(p^e0) -> s(p^e1) -> ... composed into one matrix
+    steps = (prime_power_witness(p, k, u) for k, u in zip(exponents, exponents[1:]))
+    return reduce(matmul, steps, MoebiusMatrix.identity())
+
+
+moebius_actions = st.one_of(
+    st.builds(witness_chain, moebius_primes, st.lists(st.integers(1, 4), min_size=2, max_size=4)),
+    st.just(MoebiusMatrix.identity()),
+    st.just(MoebiusMatrix(1, 1, 0, -1)),
+    small_nonsingular.map(lambda m: MoebiusMatrix(*m.entries())),
+)
+profinite_points = st.one_of(
+    st.just(ZERO_EVERYWHERE),
+    st.builds(
+        lambda p, k, q: s_of(p**k) if q is None else multiply(s_of(p**k), p_infinity(q)),
+        moebius_primes,
+        st.integers(0, 4),
+        st.one_of(st.none(), moebius_primes),
+    ),
+)
+
+
+@st.composite
+def chained_steps(draw):
+    # g carries s(p^e0) to s(p^ei) and h carries that on to s(p^en), so both
+    # steps are defined
+    p = draw(moebius_primes)
+    es = draw(st.lists(st.integers(1, 4), min_size=3, max_size=5))
+    i = draw(st.integers(1, len(es) - 2))
+    return witness_chain(p, es[: i + 1]), witness_chain(p, es[i:]), s_of(p ** es[0])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.tuples(moebius_actions, moebius_actions, profinite_points), chained_steps()))
+def test_moebius_apply_is_a_right_action(case):
+    # most independent draws leave the representable class or hit a vanishing
+    # unit; the law is checked wherever the two-step side is defined
+    g, h, z = case
+    try:
+        two_steps = moebius_apply(h, moebius_apply(g, z))
+    except DomainError:
+        return
+    assert moebius_apply(g @ h, z) == two_steps
+
+
+# the local posets against the global invariants
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.builds(lambda a, d, b: MatrixClass(a, b % d, d), st.integers(1, 400), st.integers(1, 400), st.integers(0, 399)),
+    st.sampled_from([2, 3, 5, 7]),
+)
+def test_local_invariants_match_the_global_ones(x, p):
+    c = localize(x, p)
+    assert c.niveau() == niveau(x, p)
+    assert c.det_valuation() == valuation(x.det, p)
+    assert c.level() == level(x, p)
