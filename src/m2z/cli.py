@@ -2,8 +2,8 @@
 
 Payloads go to stdout, diagnostics to stderr.  Exit codes: 0 on success,
 1 on domain errors (singular matrix, not divisible, not a unit, ...),
-2 on usage or literal-parse errors.  Fractions are always rendered as
-"num/den" strings, never as floating point.
+2 on usage or literal-parse errors and on inputs too large for memory.
+Fractions are always rendered as "num/den" strings, never as floating point.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from .supernatural import (
     Equivalent,
     ExtMatrix,
     GOORMAGHTIGH_8191_NOTE,
-    Indeterminate,
-    NotEquivalent,
     equiv_decide,
     ext_membership,
     goormaghtigh_search,
@@ -123,14 +121,12 @@ def _cmd_ext(args) -> int:
         if args.ext_command == "equiv":
             z1 = parse_supernatural(args.z1)
             z2 = parse_supernatural(args.z2)
-            verdict = equiv_decide(z1, z2, search_bound=args.search_bound)
+            verdict = equiv_decide(z1, z2)
             if isinstance(verdict, Equivalent):
                 w = verdict.witness
                 payload = {"verdict": "Equivalent", "witness": [[w.a, w.b], [w.c, w.d]]}
-            elif isinstance(verdict, NotEquivalent):
-                payload = {"verdict": "NotEquivalent", "reason": verdict.reason}
             else:
-                payload = {"verdict": "Indeterminate", "dim": verdict.solution_space_dim}
+                payload = {"verdict": "NotEquivalent", "reason": verdict.reason}
             print(json.dumps(payload))
         elif args.ext_command == "apply":
             g = parse_moebius(args.matrix)
@@ -199,7 +195,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_equiv = ext_sub.add_parser("equiv", help="decide isomorphism of two classes")
     p_equiv.add_argument("z1", help='supernatural literal, e.g. "2^4*5^2*7^inf"')
     p_equiv.add_argument("z2")
-    p_equiv.add_argument("--search-bound", type=int, default=50)
     p_equiv.set_defaults(func=_cmd_ext)
     p_apply = ext_sub.add_parser("apply", help="apply a projective matrix to a class")
     p_apply.add_argument("matrix", help='rational matrix literal "a,b;c,d"')
@@ -235,6 +230,9 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("too large: the answer does not fit in memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -22,9 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import gcd, lcm, prod
-from typing import Iterator, Union
 
 from .errors import Degenerate, NotAUnit, NotRepresentable
 from .matrices import IntMatrix2, _parse_entries
@@ -38,7 +36,6 @@ __all__ = [
     "ExtMatrix",
     "Equivalent",
     "NotEquivalent",
-    "Indeterminate",
     "EquivVerdict",
     "s_of",
     "p_infinity",
@@ -286,12 +283,7 @@ class NotEquivalent:
     reason: str  # "infeasible-system" or "prime-divisor-obstruction"
 
 
-@dataclass(frozen=True)
-class Indeterminate:
-    solution_space_dim: int
-
-
-EquivVerdict = Union[Equivalent, NotEquivalent, Indeterminate]
+EquivVerdict = Equivalent | NotEquivalent
 
 
 def _solve_rational_system(
@@ -331,16 +323,6 @@ def _solve_rational_system(
     return particular, basis
 
 
-def _rational_parameters(bound: int) -> Iterator[Fraction]:
-    # deterministic order: 0, then by (denominator, numerator, sign)
-    yield Fraction(0)
-    for den in range(1, bound + 1):
-        for num in range(1, bound + 1):
-            if gcd(num, den) == 1:
-                yield Fraction(num, den)
-                yield Fraction(-num, den)
-
-
 def _validated_witness(
     vec: list[Fraction], z: ComponentwiseProfinite, z_target: ComponentwiseProfinite
 ) -> MoebiusMatrix | None:
@@ -354,19 +336,18 @@ def _validated_witness(
     return None
 
 
-def equiv_decide(
-    z: ComponentwiseProfinite, z_prime: ComponentwiseProfinite, search_bound: int = 50
-) -> EquivVerdict:
+def equiv_decide(z: ComponentwiseProfinite, z_prime: ComponentwiseProfinite) -> EquivVerdict:
     """Decide whether some projective rational matrix maps z to z_prime.
 
     Any witness can be rescaled so that a + c = 1 = b + d (the default
     components force a + c = b + d, and a + c = 0 is impossible with finite
     support), which together with one equation per support prime pins the
-    matrix down to an exact rational linear system.  A unique solution is
-    validated directly; a feasible underdetermined system triggers a bounded
-    deterministic search over rational parameters, and Indeterminate is
-    reported when no bounded candidate validates, since the side conditions
-    (no vanishing component, nonzero determinant) are not linear.
+    matrix down to an exact rational linear system.  A support row is never a
+    combination of the first two (that needs z_p = 1), so the solutions form a
+    point or a line P + t*D.  On the line the equations fix every image
+    component, det is quadratic in t and each a + c*z_p is linear, so unless
+    one of them vanishes identically at most |support| + 2 values of t fail:
+    the first |support| + 3 integers 0, 1, -1, 2, -2, ... decide.
     """
     if z.zero_everywhere or z_prime.zero_everywhere:
         if z == z_prime:
@@ -395,18 +376,13 @@ def equiv_decide(
     if solved is None:
         return NotEquivalent("infeasible-system")
     particular, basis = solved
-    if not basis:
-        witness = _validated_witness(particular, z, z_prime)
-        return Equivalent(witness) if witness else NotEquivalent("infeasible-system")
-    # with a nonempty support the system has rank >= 3, so dim(basis) <= 1
-    for params in product(_rational_parameters(search_bound), repeat=len(basis)):
-        vec = particular[:]
-        for t, direction in zip(params, basis):
-            vec = [v + t * w for v, w in zip(vec, direction)]
-        witness = _validated_witness(vec, z, z_prime)
+    direction = basis[0] if basis else [zero] * 4
+    for i in range(len(z.support) + 3 if basis else 1):
+        t = (i + 1) // 2 if i % 2 else -(i // 2)
+        witness = _validated_witness([v + t * w for v, w in zip(particular, direction)], z, z_prime)
         if witness:
             return Equivalent(witness)
-    return Indeterminate(len(basis))
+    return NotEquivalent("infeasible-system")
 
 
 def system_determinant(p: int, k: int, u: int, q: int, r: int, v: int) -> int:

@@ -1,5 +1,7 @@
 import json
 import os
+import resource
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -214,19 +216,20 @@ class TestExtCommand:
         assert code == 2
         assert "parse error" in err
 
-    def test_equiv_indeterminate_rendering(self, capsys, monkeypatch):
-        import m2z.cli as cli
-        from m2z.supernatural import Indeterminate
-
-        monkeypatch.setattr(cli, "equiv_decide", lambda *a, **k: Indeterminate(1))
-        code, out, _ = run(capsys, "ext", "equiv", "2^1", "2^2")
-        assert code == 0
-        assert json.loads(out) == {"verdict": "Indeterminate", "dim": 1}
-
-    def test_search_bound_flag_accepted(self, capsys):
+    def test_removed_flag_is_a_usage_error(self, capsys):
         code, out, _ = run(capsys, "ext", "equiv", "2^1", "2^3", "--search-bound", "5")
-        assert code == 0
-        assert json.loads(out)["verdict"] == "Equivalent"
+        assert code == 2
+        assert out == ""
+
+    def test_readme_examples(self, capsys):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        examples = [line for line in readme.read_text().splitlines() if line.startswith("m2z ext ")]
+        assert len(examples) == 4
+        for line in examples:
+            command, _, expected = line.partition("#")
+            code, out, _ = run(capsys, *shlex.split(command)[1:])
+            assert code == 0
+            assert out == expected.strip() + "\n", command
 
 
 class TestLargePrimeLiterals:
@@ -248,6 +251,28 @@ class TestLargePrimeLiterals:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout == expected
+
+
+def test_out_of_memory_is_a_usage_error():
+    # the sieve asks for about 8 GB in one allocation, which a 1 GB
+    # address-space cap refuses at once
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-m", "m2z.cli", "zeta", "--which", "P", "--terms", "1000000000"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=30,
+        preexec_fn=cap_address_space,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("too large:")
+    assert result.stderr.count("\n") == 1
 
 
 class TestGoormaghtighCommand:

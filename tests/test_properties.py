@@ -4,6 +4,7 @@ extension classes and the local posets rest on."""
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 from operator import matmul
 from math import prod
 
@@ -30,8 +31,10 @@ from m2z.primes import factor, is_prime, valuation
 from m2z.supernatural import (
     ZERO_EVERYWHERE,
     ComponentwiseProfinite,
+    Equivalent,
     ExtMatrix,
     MoebiusMatrix,
+    equiv_decide,
     ext_membership,
     moebius_apply,
     multiply,
@@ -265,6 +268,35 @@ def test_moebius_apply_is_a_right_action(case):
     except DomainError:
         return
     assert moebius_apply(g @ h, z) == two_steps
+
+
+def test_equiv_decide_finds_every_reachable_image():
+    # completeness checked without the linear system: every image of a small
+    # element under a small integer matrix must be declared equivalent
+    exps = (1, 2, 3, None)
+    pool = [
+        ComponentwiseProfinite.of(dict(zip(ps, es)))
+        for ps in ((), (2,), (3,), (2, 3), (5,))
+        for es in product(exps, repeat=len(ps))
+    ]
+    moves = set()
+    for entries in product(range(-4, 5), repeat=4):
+        try:
+            moves.add(MoebiusMatrix(*entries))
+        except Degenerate:
+            pass
+    reached = set()
+    for g in moves:
+        for z in pool:
+            try:
+                reached.add((z, moebius_apply(g, z)))
+            except DomainError:
+                pass
+    assert any(z != image for z, image in reached)
+    for z, image in reached:
+        verdict = equiv_decide(z, image)
+        assert isinstance(verdict, Equivalent), (str(z), str(image), verdict)
+        assert moebius_apply(verdict.witness, z) == image
 
 
 # the local posets against the global invariants
