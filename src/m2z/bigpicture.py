@@ -8,20 +8,22 @@ vertex embeds as the unique class with coprime entries
 
 and the hyper-distance pulled back through the embedding agrees with the
 classical one computed from the alpha-matrices (M, g/h; 0, 1).  Two vertices
-are joined by an edge when their distance is prime.  The picture is
-homogeneous, so a ball around any vertex is the ball around the origin (the
-primitive classes of bounded determinant) moved by the embedded centre.
+are joined by an edge when their distance is prime.  A vertex has one
+neighbour below it at each prime dividing its determinant, in closed form, so
+the ball around the origin (the primitive classes of bounded determinant) is
+generated with its edges; a ball around any other vertex is that ball moved
+by the embedded centre, since the picture is homogeneous.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from functools import cached_property
+from math import gcd, lcm, prod
 
 from .errors import NotPrimitive
-from .matrices import MatrixClass, classes_with_det, hnf, hyper_distance, meet, primitive_decompose
+from .matrices import MatrixClass, hnf, hyper_distance, primitive_decompose
 from .primes import factor
 
 __all__ = [
@@ -70,10 +72,14 @@ class BigPictureVertex:
 
 @dataclass(frozen=True)
 class PictureGraph:
-    """Vertices plus the prime-weight edges among them (i < j indices)."""
+    """Primitive classes plus the prime-weight edges among them (i < j)."""
 
-    vertices: tuple[BigPictureVertex, ...]
+    classes: tuple[MatrixClass, ...]
     edges: tuple[tuple[int, int, int], ...]
+
+    @cached_property
+    def vertices(self) -> tuple[BigPictureVertex, ...]:
+        return tuple(unembed(m) for m in self.classes)
 
 
 def embed(x: BigPictureVertex) -> MatrixClass:
@@ -122,68 +128,83 @@ def bp_leq(x: BigPictureVertex, y: BigPictureVertex) -> bool:
     return delta(_ONE, y) == delta(x, y) * delta(_ONE, x)
 
 
-def _sort_key(m: MatrixClass) -> tuple[int, int, int, int]:
-    return (m.det, m.a, m.b, m.d)
+# At radius 725 (399,490 vertices) ``m2z ball`` peaked at 281-299 MB RSS around
+# the origin, 427-433 MB around a centre of det ~10^26 (539 MB at 499,240).
+MAX_BALL_VERTICES = 400_000
+
+
+def _lower_neighbour(a: int, b: int, d: int, p: int) -> tuple[int, int, int]:
+    """meet(v, (det v / p) * I) for the primitive v = (a, b; 0, d), p | ad."""
+    if d % p == 0:
+        return a, b % (d // p), d // p
+    return a // p, b * pow(p, -1, d) % d, d
 
 
 def ball(center: BigPictureVertex, radius: int) -> PictureGraph:
     """All vertices within hyper-distance ``radius`` of ``center``, plus the
     prime-weight edges among them.
 
-    Around the origin the ball is the set of primitive classes of det <=
-    radius, since delta(1, v) = det embed(v).  Each of its non-origin
-    vertices v has, for every prime p | det v, exactly one neighbour below it
-    at distance p, namely meet(v, (det v / p) * I): the quotient Z^2 / L_v of
-    a primitive class is cyclic, so it has one subgroup of each order.  Right
-    multiplication by embed(center), followed by taking the primitive part,
-    is an isometry of the picture that sends the origin to the centre, so it
-    carries this ball and its edges onto the requested one.  Vertex order:
-    ascending determinant of the embedding, then lexicographic on the
-    representative.
+    Around the origin the ball is the primitive classes (a, b; 0, d) with
+    ad <= radius, generated in order.  Z^2 / L_v is cyclic for a primitive v,
+    so v has one neighbour below it at each p | ad: (a, b mod d/p; 0, d/p) if
+    p | d, else (a/p, b * p^-1 mod d; 0, d).  Those are the edges.  The
+    origin ball is not moved; for another centre it is moved by the isometry
+    v -> primitive part of v * embed(center).  Vertices ascend by determinant
+    of the embedding, then lexicographically by representative.
+
+    A ball of radius R has sum_{n <= R} psi(n) vertices; above
+    MAX_BALL_VERTICES = 400,000 (radius 726 and up) MemoryError is raised
+    before anything is built.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    origin_ball = [m for n in range(1, radius + 1) for m in classes_with_det(n) if m.is_primitive]
-    index = {m: i for i, m in enumerate(origin_ball)}
-    origin_edges = [
-        (index[meet(m, MatrixClass(m.det // p, 0, m.det // p))], i, p)
-        for i, m in enumerate(origin_ball)
-        for p in factor(m.det)
-    ]
+    too_large = MemoryError(f"a ball of radius {radius} has over {MAX_BALL_VERTICES} vertices")
+    if radius * (radius + 1) // 2 > MAX_BALL_VERTICES:  # psi(n) >= n: a huge radius is never factored
+        raise too_large
+    primes = [list(factor(n)) for n in range(1, radius + 1)]
+    if sum(n // prod(ps) * prod(p + 1 for p in ps) for n, ps in enumerate(primes, 1)) > MAX_BALL_VERTICES:
+        raise too_large
+    classes, index, edges = [], {}, []
+    for n, ps in enumerate(primes, 1):
+        for a in (a for a in range(1, n + 1) if n % a == 0):
+            d = n // a
+            c = gcd(a, d)
+            for b in (b for b in range(d) if c == 1 or gcd(c, b) == 1):
+                index[a, b, d] = i = len(classes)
+                classes.append(MatrixClass(a, b, d))
+                edges += [(index[_lower_neighbour(a, b, d, p)], i, p) for p in ps]
+    if center != _ONE:
+        g = embed(center).to_matrix()
+        moved = [primitive_decompose(hnf(m.to_matrix() @ g))[1] for m in classes]
+        order = sorted(range(len(moved)), key=lambda i: (moved[i].det, moved[i].a, moved[i].b, moved[i].d))
+        rank = {old: new for new, old in enumerate(order)}
+        classes = [moved[i] for i in order]
+        edges = [(min(rank[i], rank[j]), max(rank[i], rank[j]), p) for i, j, p in edges]
+    return PictureGraph(tuple(classes), tuple(sorted(edges)))
 
-    g = embed(center).to_matrix()
-    moved = [primitive_decompose(hnf(m.to_matrix() @ g))[1] for m in origin_ball]
-    order = sorted(range(len(moved)), key=lambda i: _sort_key(moved[i]))
-    rank = {old: new for new, old in enumerate(order)}
-    edges = sorted((min(rank[i], rank[j]), max(rank[i], rank[j]), p) for i, j, p in origin_edges)
-    return PictureGraph(tuple(unembed(moved[i]) for i in order), tuple(edges))
+
+def _ratio(num: int, den: int) -> str:
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}"
 
 
 def export_dot(g: PictureGraph) -> str:
     """Deterministic undirected DOT text; byte-identical for equal inputs."""
-    lines = ["graph picture {"]
-    for i, v in enumerate(g.vertices):
-        lines.append(f'  n{i} [label="M={v.M} r={v.g}/{v.h}", det={embed(v).det}];')
-    for i, j, p in g.edges:
-        lines.append(f"  n{i} -- n{j} [label={p}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    vertices = "".join(
+        f'  n{i} [label="M={_ratio(m.a, m.d).removesuffix("/1")} r={_ratio(m.b, m.d)}", det={m.det}];\n'
+        for i, m in enumerate(g.classes)
+    )
+    edges = "".join(f"  n{i} -- n{j} [label={p}];\n" for i, j, p in g.edges)
+    return f"graph picture {{\n{vertices}{edges}}}\n"
 
 
 def export_json(g: PictureGraph) -> str:
     """JSON with vertices [{M, r, det}] (fractions as "num/den") and edges."""
-    payload = {
-        "vertices": [
-            {
-                "M": f"{v.M.numerator}/{v.M.denominator}",
-                "r": f"{v.g}/{v.h}",
-                "det": embed(v).det,
-            }
-            for v in g.vertices
-        ],
-        "edges": [list(e) for e in g.edges],
-    }
-    return json.dumps(payload)
+    vertices = ", ".join(
+        f'{{"M": "{_ratio(m.a, m.d)}", "r": "{_ratio(m.b, m.d)}", "det": {m.det}}}' for m in g.classes
+    )
+    edges = ", ".join(f"[{i}, {j}, {p}]" for i, j, p in g.edges)
+    return f'{{"vertices": [{vertices}], "edges": [{edges}]}}'
 
 
 def parse_vertex(text: str) -> BigPictureVertex:

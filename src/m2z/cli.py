@@ -77,7 +77,7 @@ def _cmd_ball(args) -> int:
         sys.stdout.write(export_dot(graph))
     else:
         print(export_json(graph))
-    print(f"vertices: {len(graph.vertices)} edges: {len(graph.edges)}", file=sys.stderr)
+    print(f"vertices: {len(graph.classes)} edges: {len(graph.edges)}", file=sys.stderr)
     return 0
 
 
@@ -230,8 +230,8 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except MemoryError:
-        print("too large: the answer does not fit in memory", file=sys.stderr)
+    except MemoryError as exc:
+        print(f"too large: {str(exc) or 'the answer does not fit in memory'}", file=sys.stderr)
         return 2
 
 

@@ -211,13 +211,21 @@ class TestBall:
         with pytest.raises(ValueError):
             ball(ONE, 0)
 
+    def test_size_guard(self):
+        # sum_{n <= 726} psi(n) = 401,074 > MAX_BALL_VERTICES = 400,000
+        for center in (ONE, BigPictureVertex.of(Fraction(3, 2), Fraction(1, 2))):
+            with pytest.raises(MemoryError):
+                ball(center, 726)
+        with pytest.raises(MemoryError):
+            ball(ONE, 10**12)
+
 
 class TestExport:
     def test_empty_graph(self):
         assert export_dot(PictureGraph((), ())) == "graph picture {\n}\n"
 
     def test_single_vertex(self):
-        text = export_dot(PictureGraph((ONE,), ()))
+        text = export_dot(PictureGraph((MatrixClass(1, 0, 1),), ()))
         assert text == 'graph picture {\n  n0 [label="M=1 r=0/1", det=1];\n}\n'
 
     def test_radius_two_dot(self):

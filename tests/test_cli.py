@@ -275,6 +275,20 @@ def test_out_of_memory_is_a_usage_error():
     assert result.stderr.count("\n") == 1
 
 
+def test_ball_over_the_size_guard_is_refused_at_once():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    ball = [sys.executable, "-m", "m2z.cli", "ball", "M=1,r=0", "--radius"]
+    result = subprocess.run(ball + ["100000"], env=env, capture_output=True, text=True, timeout=5)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("too large:")
+    assert result.stderr.count("\n") == 1
+    result = subprocess.run(ball + ["155"], env=env, capture_output=True, text=True, timeout=30)
+    assert result.returncode == 0
+    assert result.stderr == "vertices: 18310 edges: 37633\n"
+
+
 class TestGoormaghtighCommand:
     def test_first_row(self, capsys):
         code, out, _ = run(capsys, "goormaghtigh", "--bound", "31")

@@ -6,17 +6,18 @@ from fractions import Fraction
 from functools import reduce
 from itertools import product
 from operator import matmul
-from math import prod
+from math import gcd, prod
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from m2z.bigpicture import BigPictureVertex, parse_vertex
+from m2z.bigpicture import BigPictureVertex, _lower_neighbour, ball, parse_vertex
 from m2z.errors import Degenerate, DomainError
 from m2z.localposet import localize
 from m2z.matrices import (
     IntMatrix2,
     MatrixClass,
+    classes_with_det,
     divides,
     hnf,
     hyper_distance,
@@ -210,6 +211,44 @@ def test_distance_symmetric_and_one_exactly_on_the_diagonal(x, y):
 @given(classes, classes, classes)
 def test_multiplicative_triangle_inequality(x, y, z):
     assert hyper_distance(x, z) <= hyper_distance(x, y) * hyper_distance(y, z)
+
+
+@st.composite
+def primitive_and_prime(draw):
+    a, d = draw(st.integers(1, 300)), draw(st.integers(1, 300))
+    b = draw(st.integers(0, d - 1))
+    assume(gcd(a, b, d) == 1 and a * d > 1)
+    return MatrixClass(a, b, d), draw(st.sampled_from(sorted(factor(a * d))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(primitive_and_prime())
+def test_closed_form_lower_neighbour_is_the_meet(case):
+    v, p = case
+    n = v.det // p
+    below = MatrixClass(*_lower_neighbour(v.a, v.b, v.d, p))
+    assert below == meet(v, MatrixClass(n, 0, n))
+    assert below.is_primitive
+    assert hyper_distance(below, v) == p
+
+
+def origin_ball_by_meets(radius):
+    # the construction ball() replaced: filter all classes, one meet per edge
+    classes = [m for n in range(1, radius + 1) for m in classes_with_det(n) if m.is_primitive]
+    index = {m: i for i, m in enumerate(classes)}
+    edges = [
+        (index[meet(m, MatrixClass(m.det // p, 0, m.det // p))], i, p)
+        for i, m in enumerate(classes)
+        for p in factor(m.det)
+    ]
+    return tuple(classes), tuple(sorted(edges))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 40))
+def test_origin_ball_matches_the_meet_construction(radius):
+    g = ball(BigPictureVertex.of(1), radius)
+    assert (g.classes, g.edges) == origin_ball_by_meets(radius)
 
 
 @settings(max_examples=300, deadline=None)
