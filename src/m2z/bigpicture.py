@@ -130,7 +130,14 @@ def bp_leq(x: BigPictureVertex, y: BigPictureVertex) -> bool:
 
 # At radius 725 (399,490 vertices) ``m2z ball`` peaked at 281-299 MB RSS around
 # the origin, 427-433 MB around a centre of det ~10^26 (539 MB at 499,240).
+# Moved classes carry the centre's digits: a radius-510 ball around a centre of
+# det ~2^761 took 2.4 KB per vertex against 0.9 KB around the origin, about
+# 2 bytes per bit of det embed(centre).  So a vertex weighs one more per
+# BALL_VERTEX_BITS bits; 128 keeps the heaviest weight-1 ball near the origin's:
+# det ~2^123 at radius 725 peaked at 448 MB (386 MB around the origin on the
+# same machine).
 MAX_BALL_VERTICES = 400_000
+BALL_VERTEX_BITS = 128
 
 
 def _lower_neighbour(a: int, b: int, d: int, p: int) -> tuple[int, int, int]:
@@ -152,17 +159,19 @@ def ball(center: BigPictureVertex, radius: int) -> PictureGraph:
     v -> primitive part of v * embed(center).  Vertices ascend by determinant
     of the embedding, then lexicographically by representative.
 
-    A ball of radius R has sum_{n <= R} psi(n) vertices; above
-    MAX_BALL_VERTICES = 400,000 (radius 726 and up) MemoryError is raised
-    before anything is built.
+    A ball of radius R has sum_{n <= R} psi(n) vertices, each weighing
+    1 + bits(det embed(center)) // BALL_VERTEX_BITS; above a total weight of
+    MAX_BALL_VERTICES = 400,000 (radius 726 and up for a centre of det below
+    2^128) MemoryError is raised before anything is built.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    too_large = MemoryError(f"a ball of radius {radius} has over {MAX_BALL_VERTICES} vertices")
-    if radius * (radius + 1) // 2 > MAX_BALL_VERTICES:  # psi(n) >= n: a huge radius is never factored
+    limit = MAX_BALL_VERTICES // (1 + embed(center).det.bit_length() // BALL_VERTEX_BITS)
+    too_large = MemoryError(f"a ball of radius {radius} has over {limit} vertices")
+    if radius * (radius + 1) // 2 > limit:  # psi(n) >= n: a huge radius is never factored
         raise too_large
     primes = [list(factor(n)) for n in range(1, radius + 1)]
-    if sum(n // prod(ps) * prod(p + 1 for p in ps) for n, ps in enumerate(primes, 1)) > MAX_BALL_VERTICES:
+    if sum(n // prod(ps) * prod(p + 1 for p in ps) for n, ps in enumerate(primes, 1)) > limit:
         raise too_large
     classes, index, edges = [], {}, []
     for n, ps in enumerate(primes, 1):

@@ -13,6 +13,7 @@ import json
 import sys
 from fractions import Fraction
 from itertools import chain, islice
+from operator import ne
 
 from .bigpicture import ball, delta_direct, embed, export_dot, export_json, parse_vertex, unembed
 from .errors import DomainError
@@ -99,12 +100,12 @@ def _cmd_zeta(args) -> int:
     formula_fn, enumerate_fn = _ZETA_ROUTES[args.which]
     fns = {"formula": (formula_fn,), "enumerate": (enumerate_fn,), "both": (formula_fn, enumerate_fn)}[args.mode]
     columns = [fn(args.terms).coeffs[1:] for fn in fns]
-    mism = sum(f != e for f, e in zip(*columns)) if len(columns) == 2 else None
+    mism = sum(map(ne, *columns)) if len(columns) == 2 else None
     if args.format == "json":
         if mism is None:
-            print(json.dumps(list(columns[0])))
+            print(json.dumps(columns[0]))
         else:
-            print(json.dumps({"formula": list(columns[0]), "enumerated": list(columns[1]), "mismatches": mism}))
+            print(json.dumps({"formula": columns[0], "enumerated": columns[1], "mismatches": mism}))
     elif mism is None:
         header = "n,coefficient" if args.header else None
         _write_csv(header, (f"{i},{c}" for i, c in enumerate(columns[0], start=1)))

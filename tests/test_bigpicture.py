@@ -219,6 +219,13 @@ class TestBall:
         with pytest.raises(MemoryError):
             ball(ONE, 10**12)
 
+    def test_size_guard_weighs_the_centre(self):
+        # det embed(centre) has 3325 bits, so each vertex weighs 1 + 3325 // 128 = 26
+        center = BigPictureVertex.of(Fraction(10**400 + 1, 7), Fraction(1, 10**300 + 7))
+        with pytest.raises(MemoryError, match="over 15384 vertices"):
+            ball(center, 300)
+        assert len(ball(center, 3).classes) == 8
+
 
 class TestExport:
     def test_empty_graph(self):

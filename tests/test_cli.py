@@ -289,6 +289,29 @@ def test_ball_over_the_size_guard_is_refused_at_once():
     assert result.stderr == "vertices: 18310 edges: 37633\n"
 
 
+def test_ball_around_a_large_centre_is_refused_at_once():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    center = f"M={10**400 + 1}/7,r=1/{10**300 + 7}"
+    argv = [sys.executable, "-m", "m2z.cli", "ball", center, "--radius", "300"]
+    result = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=5)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("too large:")
+    assert result.stderr.count("\n") == 1
+
+
+def test_goormaghtigh_over_the_size_guard_is_refused_at_once():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-m", "m2z.cli", "goormaghtigh", "--bound", str(10**24)]
+    result = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=5)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("too large:")
+    assert result.stderr.count("\n") == 1
+
+
 class TestGoormaghtighCommand:
     def test_first_row(self, capsys):
         code, out, _ = run(capsys, "goormaghtigh", "--bound", "31")

@@ -90,6 +90,32 @@ def test_formulas_equal_enumerations(n):
     assert psi_coeffs(n).coeffs == count_primitive_by_det(n).coeffs
 
 
+def enumerations_by_nested_loops(n_terms):
+    # the loops the hyperbola split replaced: one step per pair (a, d)
+    classes, primitive = [0] * (n_terms + 1), [0] * (n_terms + 1)
+    for a in range(1, n_terms + 1):
+        for d in range(1, n_terms // a + 1):
+            classes[a * d] += d
+            g = gcd(a, d)  # the content gcd(g, b) depends on b mod g only
+            primitive[a * d] += d // g * sum(1 for b in range(g) if gcd(g, b) == 1)
+    return classes, primitive
+
+
+# every N <= 400, and around each square and pronic number up to 41^2, where
+# isqrt(N) and N // (isqrt(N) + 1) change
+SPLIT_SIZES = sorted(
+    set(range(1, 401))
+    | {n for s in range(1, 41) for n in (s * s - 1, s * s, s * s + 1, s * s + s, s * s + s + 1)} - {0}
+)
+
+
+def test_hyperbola_split_visits_every_pair_once():
+    classes, primitive = enumerations_by_nested_loops(SPLIT_SIZES[-1])
+    for n in SPLIT_SIZES:  # the coefficient of n does not depend on the table's length
+        assert count_classes_by_det(n).coeffs == tuple(classes[: n + 1]), n
+        assert count_primitive_by_det(n).coeffs == tuple(primitive[: n + 1]), n
+
+
 def member_by_factoring(x: ExtMatrix, u: Fraction, v: Fraction) -> bool:
     # the definition: check every support prime and every prime of the
     # denominators of u and v

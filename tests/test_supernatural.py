@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt
 
 import pytest
 
@@ -393,6 +394,29 @@ class TestGoormaghtigh:
 
     def test_first_solution(self):
         assert goormaghtigh_search(31) == [(2, 5, 5, 3, 31)]
+
+    def test_matches_hashing_every_repunit(self):
+        # the search it replaced: hash the repunits of every length >= 3
+        bound = 10**6
+        hits = {}
+        for x in range(2, isqrt(bound) + 1):
+            value, n = x * x + x + 1, 3
+            while value <= bound:
+                hits.setdefault(value, []).append((x, n))
+                value, n = value * x + 1, n + 1
+        expected = [
+            (x1, x2, n1, n2, v) for v in sorted(hits) for (x1, n1), (x2, n2) in combinations(hits[v], 2)
+        ]
+        assert expected == [(2, 5, 5, 3, 31), (2, 90, 13, 3, 8191)]
+        for b in (1, 7, 30, 31, 8190, 8191, bound):
+            assert goormaghtigh_search(b) == [row for row in expected if row[4] <= b]
+
+    def test_size_guard(self):
+        # about 1.1 * 10^6 repunits of length >= 4 lie below 1.19 * 10^18
+        assert goormaghtigh_search(10**10) == [(2, 5, 5, 3, 31), (2, 90, 13, 3, 8191)]
+        for bound in (2 * 10**18, 10**24, 10**400):
+            with pytest.raises(MemoryError):
+                goormaghtigh_search(bound)
 
     def test_note_is_documented(self):
         assert "(90^2-1)/(90-1) = 91" in GOORMAGHTIGH_8191_NOTE

@@ -64,6 +64,15 @@ class TestEnumeration:
         for n in range(1, 61):
             assert t.value(n) == len(list(classes_with_det(n)))
 
+    def test_smallest_tables(self):
+        # isqrt(N) = 1: one slice for d = 1, then N // 2 slices for the d >= 2
+        assert count_classes_by_det(1).coeffs == (0, 1)
+        assert count_classes_by_det(2).coeffs == (0, 1, 3)
+        assert count_classes_by_det(3).coeffs == (0, 1, 3, 4)
+        assert count_primitive_by_det(1).coeffs == (0, 1)
+        assert count_primitive_by_det(2).coeffs == (0, 1, 3)
+        assert count_primitive_by_det(3).coeffs == (0, 1, 3, 4)
+
     def test_primitive_examples(self):
         t = count_primitive_by_det(6)
         assert t.value(1) == 1
