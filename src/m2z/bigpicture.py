@@ -20,11 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm, prod
+from itertools import accumulate
+from math import gcd, isqrt, lcm, prod
+from typing import Iterator, TextIO
 
 from .errors import NotPrimitive
 from .matrices import MatrixClass, hnf, hyper_distance, primitive_decompose
 from .primes import factor
+from .textout import write_chunks
 
 __all__ = [
     "BigPictureVertex",
@@ -128,14 +131,13 @@ def bp_leq(x: BigPictureVertex, y: BigPictureVertex) -> bool:
     return delta(_ONE, y) == delta(x, y) * delta(_ONE, x)
 
 
-# At radius 725 (399,490 vertices) ``m2z ball`` peaked at 281-299 MB RSS around
-# the origin, 427-433 MB around a centre of det ~10^26 (539 MB at 499,240).
+# At radius 725 (399,490 vertices) ``m2z ball`` peaked at 155 MB RSS around the
+# origin and 302 MB around a centre of det ~2^123, in JSON and in DOT.
 # Moved classes carry the centre's digits: a radius-510 ball around a centre of
 # det ~2^761 took 2.4 KB per vertex against 0.9 KB around the origin, about
 # 2 bytes per bit of det embed(centre).  So a vertex weighs one more per
-# BALL_VERTEX_BITS bits; 128 keeps the heaviest weight-1 ball near the origin's:
-# det ~2^123 at radius 725 peaked at 448 MB (386 MB around the origin on the
-# same machine).
+# BALL_VERTEX_BITS bits; 128 keeps the heaviest weight-1 ball (det ~2^123,
+# 302 MB at radius 725) within about twice the origin's.
 MAX_BALL_VERTICES = 400_000
 BALL_VERTEX_BITS = 128
 
@@ -159,6 +161,13 @@ def ball(center: BigPictureVertex, radius: int) -> PictureGraph:
     v -> primitive part of v * embed(center).  Vertices ascend by determinant
     of the embedding, then lexicographically by representative.
 
+    A neighbour's index is found in closed form, with no per-vertex table.
+    The classes with diagonal (a, d) form one block, starting at start[a, d]
+    (about R ln R blocks), in which b runs through the b in [0, d) coprime to
+    c = gcd(a, d).  So b sits at start[a, d] + rank(b), where rank(b) =
+    (b // c) * phi(c) + #{r < b mod c : gcd(r, c) = 1}, read from a table
+    per c; c^2 | ad, so c <= isqrt(R).  When c = 1, rank(b) = b.
+
     A ball of radius R has sum_{n <= R} psi(n) vertices, each weighing
     1 + bits(det embed(center)) // BALL_VERTEX_BITS; above a total weight of
     MAX_BALL_VERTICES = 400,000 (radius 726 and up for a centre of det below
@@ -173,23 +182,39 @@ def ball(center: BigPictureVertex, radius: int) -> PictureGraph:
     primes = [list(factor(n)) for n in range(1, radius + 1)]
     if sum(n // prod(ps) * prod(p + 1 for p in ps) for n, ps in enumerate(primes, 1)) > limit:
         raise too_large
-    classes, index, edges = [], {}, []
+    classes, start, edges = [], {}, []
+    # units_below[c][s] = #{r < s : gcd(r, c) = 1}, so units_below[c][c] = phi(c)
+    units_below = [
+        list(accumulate((gcd(r, c) == 1 for r in range(c)), initial=0)) for c in range(isqrt(radius) + 1)
+    ]
+
+    def index(a: int, b: int, d: int) -> int:
+        c = gcd(a, d)
+        if c == 1:
+            return start[a, d] + b
+        below = units_below[c]
+        return start[a, d] + b // c * below[c] + below[b % c]
+
     for n, ps in enumerate(primes, 1):
         for a in (a for a in range(1, n + 1) if n % a == 0):
             d = n // a
             c = gcd(a, d)
+            start[a, d] = len(classes)
             for b in (b for b in range(d) if c == 1 or gcd(c, b) == 1):
-                index[a, b, d] = i = len(classes)
+                i = len(classes)
                 classes.append(MatrixClass(a, b, d))
-                edges += [(index[_lower_neighbour(a, b, d, p)], i, p) for p in ps]
+                edges += [(index(*_lower_neighbour(a, b, d, p)), i, p) for p in ps]
     if center != _ONE:
         g = embed(center).to_matrix()
         moved = [primitive_decompose(hnf(m.to_matrix() @ g))[1] for m in classes]
         order = sorted(range(len(moved)), key=lambda i: (moved[i].det, moved[i].a, moved[i].b, moved[i].d))
-        rank = {old: new for new, old in enumerate(order)}
+        rank = [0] * len(order)
+        for new, old in enumerate(order):
+            rank[old] = new
         classes = [moved[i] for i in order]
         edges = [(min(rank[i], rank[j]), max(rank[i], rank[j]), p) for i, j, p in edges]
-    return PictureGraph(tuple(classes), tuple(sorted(edges)))
+    edges.sort()
+    return PictureGraph(tuple(classes), tuple(edges))
 
 
 def _ratio(num: int, den: int) -> str:
@@ -197,23 +222,50 @@ def _ratio(num: int, den: int) -> str:
     return f"{num // g}/{den // g}"
 
 
-def export_dot(g: PictureGraph) -> str:
-    """Deterministic undirected DOT text; byte-identical for equal inputs."""
-    vertices = "".join(
-        f'  n{i} [label="M={_ratio(m.a, m.d).removesuffix("/1")} r={_ratio(m.b, m.d)}", det={m.det}];\n'
-        for i, m in enumerate(g.classes)
-    )
-    edges = "".join(f"  n{i} -- n{j} [label={p}];\n" for i, j, p in g.edges)
-    return f"graph picture {{\n{vertices}{edges}}}\n"
+def _dot_parts(g: PictureGraph) -> Iterator[str]:
+    yield "graph picture {\n"
+    for i, m in enumerate(g.classes):
+        yield f'  n{i} [label="M={_ratio(m.a, m.d).removesuffix("/1")} r={_ratio(m.b, m.d)}", det={m.det}];\n'
+    for i, j, p in g.edges:
+        yield f"  n{i} -- n{j} [label={p}];\n"
+    yield "}\n"
 
 
-def export_json(g: PictureGraph) -> str:
-    """JSON with vertices [{M, r, det}] (fractions as "num/den") and edges."""
-    vertices = ", ".join(
-        f'{{"M": "{_ratio(m.a, m.d)}", "r": "{_ratio(m.b, m.d)}", "det": {m.det}}}' for m in g.classes
-    )
-    edges = ", ".join(f"[{i}, {j}, {p}]" for i, j, p in g.edges)
-    return f'{{"vertices": [{vertices}], "edges": [{edges}]}}'
+def _json_parts(g: PictureGraph) -> Iterator[str]:
+    yield '{"vertices": ['
+    for i, m in enumerate(g.classes):
+        yield f'{", " if i else ""}{{"M": "{_ratio(m.a, m.d)}", "r": "{_ratio(m.b, m.d)}", "det": {m.det}}}'
+    yield '], "edges": ['
+    for k, (i, j, p) in enumerate(g.edges):
+        yield f'{", " if k else ""}[{i}, {j}, {p}]'
+    yield "]}"
+
+
+def export_dot(g: PictureGraph, out: TextIO | None = None) -> str | None:
+    """Deterministic undirected DOT text; byte-identical for equal inputs.
+
+    Returned as one string, or, given a text stream ``out``, written to it in
+    chunks of textout.CHUNK_PARTS lines (the same text, never held whole) and
+    None returned.
+    """
+    if out is None:
+        return "".join(_dot_parts(g))
+    write_chunks(out, _dot_parts(g))
+    return None
+
+
+def export_json(g: PictureGraph, out: TextIO | None = None) -> str | None:
+    """JSON with vertices [{M, r, det}] (fractions as "num/den") and edges,
+    with no trailing newline.
+
+    Returned as one string, or, given a text stream ``out``, written to it in
+    chunks of textout.CHUNK_PARTS vertices or edges (the same text, never held
+    whole) and None returned.
+    """
+    if out is None:
+        return "".join(_json_parts(g))
+    write_chunks(out, _json_parts(g))
+    return None
 
 
 def parse_vertex(text: str) -> BigPictureVertex:

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 from operator import ne
 
 from .bigpicture import ball, delta_direct, embed, export_dot, export_json, parse_vertex, unembed
@@ -29,6 +29,7 @@ from .supernatural import (
     parse_moebius,
     parse_supernatural,
 )
+from .textout import write_chunks
 from .zeta import axpb_count, count_classes_by_det, count_primitive_by_det, psi_coeffs, sigma_coeffs
 
 
@@ -75,9 +76,10 @@ def _cmd_ball(args) -> int:
         center = unembed(hnf(parse_matrix(args.center)))
     graph = ball(center, args.radius)
     if args.format == "dot":
-        sys.stdout.write(export_dot(graph))
+        export_dot(graph, sys.stdout)
     else:
-        print(export_json(graph))
+        export_json(graph, sys.stdout)
+        sys.stdout.write("\n")
     print(f"vertices: {len(graph.classes)} edges: {len(graph.edges)}", file=sys.stderr)
     return 0
 
@@ -89,11 +91,10 @@ _ZETA_ROUTES = {
 }
 
 
-def _write_csv(header: str | None, lines) -> None:
-    """Write the header (when given) and the lines, 2**14 rows per write."""
-    rows = iter(lines) if header is None else chain((header,), lines)
-    while chunk := list(islice(rows, 1 << 14)):
-        sys.stdout.write("\n".join(chunk) + "\n")
+def _write_csv(header: str | None, rows) -> None:
+    """Write the header (when given) and the rows, each ending in a newline,
+    in chunks of textout.CHUNK_PARTS rows."""
+    write_chunks(sys.stdout, rows if header is None else chain((header + "\n",), rows))
 
 
 def _cmd_zeta(args) -> int:
@@ -108,10 +109,10 @@ def _cmd_zeta(args) -> int:
             print(json.dumps({"formula": columns[0], "enumerated": columns[1], "mismatches": mism}))
     elif mism is None:
         header = "n,coefficient" if args.header else None
-        _write_csv(header, (f"{i},{c}" for i, c in enumerate(columns[0], start=1)))
+        _write_csv(header, (f"{i},{c}\n" for i, c in enumerate(columns[0], start=1)))
     else:
         header = "n,formula,enumerated" if args.header else None
-        _write_csv(header, (f"{i},{f},{e}" for i, (f, e) in enumerate(zip(*columns), start=1)))
+        _write_csv(header, (f"{i},{f},{e}\n" for i, (f, e) in enumerate(zip(*columns), start=1)))
     if mism is not None:
         print(f"mismatches: {mism}", file=sys.stderr)
     return 0
@@ -154,7 +155,7 @@ def _cmd_ext(args) -> int:
 
 def _cmd_goormaghtigh(args) -> int:
     rows = goormaghtigh_search(args.bound)
-    _write_csv("x,y,n,m,value" if args.header else None, (",".join(map(str, row)) for row in rows))
+    _write_csv("x,y,n,m,value" if args.header else None, (",".join(map(str, row)) + "\n" for row in rows))
     if any(row[4] == 8191 for row in rows):
         print(f"note: {GOORMAGHTIGH_8191_NOTE}", file=sys.stderr)
     return 0

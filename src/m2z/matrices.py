@@ -87,7 +87,7 @@ class IntMatrix2:
         return f"{self.a},{self.b};{self.c},{self.d}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatrixClass:
     """Canonical representative [[a, b], [0, d]] of a left-GL2(Z) class."""
 

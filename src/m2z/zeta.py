@@ -61,9 +61,19 @@ class CoefficientTable:
         return self.coeffs[n]
 
 
+# At 3,000,000 terms the heaviest call, ``m2z zeta --mode both --format json``,
+# peaked at 445 MB RSS for M and for P (157 MB at 10^6), near the 450 MB that
+# MAX_BALL_VERTICES was sized for; in CSV it peaked at 338 MB.
+MAX_ZETA_TERMS = 3_000_000
+
+
 def _check_terms(n: int):
+    """Refuse a table of fewer than one term (ValueError) or of more than
+    MAX_ZETA_TERMS (MemoryError), before anything is allocated."""
     if n < 1:
         raise ValueError(f"need at least one term, got {n}")
+    if n > MAX_ZETA_TERMS:
+        raise MemoryError(f"{n} terms is over the limit of {MAX_ZETA_TERMS}")
 
 
 def _smallest_prime_factors(n: int) -> list[int]:

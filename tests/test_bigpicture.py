@@ -1,3 +1,4 @@
+import io
 import random
 from fractions import Fraction
 
@@ -250,3 +251,19 @@ class TestExport:
         assert payload["vertices"][0] == {"M": "1/1", "r": "0/1", "det": 1}
         assert [e for e in payload["edges"]] == [list(e) for e in g.edges]
         assert len(payload["vertices"]) == 4
+        assert export_json(g) == (
+            '{"vertices": [{"M": "1/1", "r": "0/1", "det": 1}, {"M": "1/2", "r": "0/1", "det": 2}, '
+            '{"M": "1/2", "r": "1/2", "det": 2}, {"M": "2/1", "r": "0/1", "det": 2}], '
+            '"edges": [[0, 1, 2], [0, 2, 2], [0, 3, 2]]}'
+        )
+
+    @pytest.mark.parametrize(
+        "graph",
+        [PictureGraph((), ()), ball(ONE, 30), ball(BigPictureVertex.of(Fraction(3, 2), Fraction(1, 2)), 12)],
+        ids=["empty", "origin", "off-centre"],
+    )
+    @pytest.mark.parametrize("export", [export_dot, export_json])
+    def test_writing_to_a_stream_writes_the_string(self, graph, export):
+        out = io.StringIO()
+        assert export(graph, out) is None
+        assert out.getvalue() == export(graph)

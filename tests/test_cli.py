@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from m2z.bigpicture import ball, export_dot, export_json, parse_vertex
 from m2z.cli import main
+from m2z.zeta import MAX_ZETA_TERMS
 
 
 def run(capsys, *argv):
@@ -113,6 +115,30 @@ class TestBallCommand:
         assert code == 0
         assert "vertices: 8 edges: 7" in err
 
+    @pytest.mark.parametrize("center, radius", [("M=1,r=0", 36), ("M=3/2,r=1/2", 12), ("M=625/16,r=3/16", 6)])
+    def test_stdout_is_the_export(self, capsys, center, radius):
+        # det embed(625/16, 3/16) = 10^4
+        graph = ball(parse_vertex(center), radius)
+        _, out, _ = run(capsys, "ball", center, "--radius", str(radius), "--format", "dot")
+        assert out == export_dot(graph)
+        _, out, _ = run(capsys, "ball", center, "--radius", str(radius), "--format", "json")
+        assert out == export_json(graph) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["dot", "json"])
+    def test_large_ball_is_written_in_chunks(self, capsys, monkeypatch, fmt):
+        writes = []
+        real_write = sys.stdout.write
+
+        def write(text):
+            writes.append(text)
+            return real_write(text)
+
+        monkeypatch.setattr(sys.stdout, "write", write)
+        code, out, _ = run(capsys, "ball", "M=1,r=0", "--radius", "100", "--format", fmt)
+        assert code == 0
+        assert len(writes) > 2
+        assert max(map(len, writes)) < len(out)
+
 
 class TestZetaCommand:
     def test_full_monoid_formula(self, capsys):
@@ -151,11 +177,11 @@ class TestZetaCommand:
 
     @pytest.mark.parametrize("which", ["Pbar", "P"])
     def test_absurd_term_count_is_a_usage_error(self, capsys, which):
-        # 10**20 terms cannot even be sized as a list, so this allocates nothing
+        # refused by the MAX_ZETA_TERMS guard, so this allocates nothing
         code, out, err = run(capsys, "zeta", "--which", which, "--terms", str(10**20))
         assert code == 2
         assert out == ""
-        assert err.startswith("parse error: ")
+        assert err.startswith("too large: ")
 
     def test_long_csv_is_written_in_chunks(self, capsys, monkeypatch):
         writes = []
@@ -254,15 +280,16 @@ class TestLargePrimeLiterals:
 
 
 def test_out_of_memory_is_a_usage_error():
-    # the sieve asks for about 8 GB in one allocation, which a 1 GB
-    # address-space cap refuses at once
+    # the largest table the guard allows peaks near 180 MB, which a 128 MB
+    # address-space cap refuses part way: the MemoryError comes from an
+    # allocation, not from a size guard, and cli.main still maps it to exit 2
     def cap_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 27, 1 << 27))
 
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     result = subprocess.run(
-        [sys.executable, "-m", "m2z.cli", "zeta", "--which", "P", "--terms", "1000000000"],
+        [sys.executable, "-m", "m2z.cli", "zeta", "--which", "P", "--terms", str(MAX_ZETA_TERMS)],
         env=env,
         capture_output=True,
         text=True,
@@ -271,8 +298,7 @@ def test_out_of_memory_is_a_usage_error():
     )
     assert result.returncode == 2
     assert result.stdout == ""
-    assert result.stderr.startswith("too large:")
-    assert result.stderr.count("\n") == 1
+    assert result.stderr == "too large: the answer does not fit in memory\n"
 
 
 def test_ball_over_the_size_guard_is_refused_at_once():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -50,6 +51,24 @@ def random_class(rng, max_det=60):
     a = rng.choice(divs)
     d = n // a
     return MatrixClass(a, rng.randrange(d), d)
+
+
+class TestMatrixClass:
+    def test_frozen(self):
+        m = MatrixClass(2, 1, 3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.b = 2
+        assert m == MatrixClass(2, 1, 3)
+
+    def test_hash_and_set_membership(self):
+        x, y = MatrixClass(2, 1, 3), MatrixClass(2, 1, 3)
+        assert x is not y and hash(x) == hash(y)
+        assert {x, y, MatrixClass(2, 2, 3)} == {MatrixClass(2, 2, 3), y}
+        assert x in {y}
+
+    def test_slotted(self):
+        # a ball holds hundreds of thousands of classes: no per-instance dict
+        assert not hasattr(MatrixClass(1, 0, 1), "__dict__")
 
 
 class TestHnf:

@@ -5,6 +5,7 @@ import pytest
 from m2z.errors import LengthMismatch
 from m2z.matrices import classes_with_det
 from m2z.zeta import (
+    MAX_ZETA_TERMS,
     CoefficientTable,
     axpb_count,
     count_classes_by_det,
@@ -132,3 +133,12 @@ class TestMultiplicativity:
     def test_rejects_empty_table(self):
         with pytest.raises(ValueError):
             sigma_coeffs(0)
+
+    @pytest.mark.parametrize(
+        "table_fn",
+        [sigma_coeffs, psi_coeffs, count_classes_by_det, count_primitive_by_det, axpb_count, square_indicator_coeffs],
+    )
+    def test_size_guard(self, table_fn):
+        # refused before the sieve or the table is allocated, so this is instant
+        with pytest.raises(MemoryError, match=f"over the limit of {MAX_ZETA_TERMS}"):
+            table_fn(MAX_ZETA_TERMS + 1)
