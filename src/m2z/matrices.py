@@ -26,7 +26,7 @@ from math import gcd
 from typing import Iterator, Mapping
 
 from .errors import NotDivisible, NotUnimodular, SingularMatrix
-from .primes import valuation
+from .primes import is_prime, valuation
 
 __all__ = [
     "IntMatrix2",
@@ -259,8 +259,7 @@ def hyper_distance(x: MatrixClass, y: MatrixClass) -> int:
     Symmetric, equals 1 iff x = y, and its log is the weighted path metric on
     the class graph whose edges are prime determinant jumps.
     """
-    w = meet(x, y)
-    return quotient(w, x).det() * quotient(w, y).det()
+    return x.det * y.det // meet(x, y).det ** 2
 
 
 @dataclass(frozen=True)
@@ -277,6 +276,8 @@ class CharacterSpec:
         if self.sign_at_minus_one not in (1, -1):
             raise ValueError("chi(-1) must be +1 or -1")
         for p, s in self.sign_at_prime.items():
+            if not is_prime(p):
+                raise ValueError(f"{p} is not prime")
             if s not in (1, -1):
                 raise ValueError(f"chi({p}) must be +1 or -1")
 

@@ -176,14 +176,25 @@ def factor(n: int) -> dict[int, int]:
 
 
 def valuation(x: int | Fraction, p: int) -> int:
-    """p-adic valuation of a nonzero integer or fraction (may be negative)."""
+    """p-adic valuation of a nonzero integer or fraction (may be negative).
+
+    Divides by p, p^2, p^4, ... while they divide, then by the same powers
+    in reverse where they still do: O(log v) divisions, not v.
+    """
+    if p < 2:
+        raise ValueError(f"valuation needs a base p >= 2, got {p}")
     if x == 0:
         raise ValueError("valuation of zero is infinite")
     if isinstance(x, Fraction):
         return valuation(x.numerator, p) - valuation(x.denominator, p)
     x = abs(x)
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
+    powers = [p]  # p, p^2, p^4, ...
+    while x % powers[-1] == 0:
+        x //= powers[-1]
+        powers.append(powers[-1] ** 2)
+    v = 2 ** (len(powers) - 1) - 1  # the exponents 1 + 2 + 4 + ... divided out so far
+    for i in range(len(powers) - 2, -1, -1):  # what is left has v_p(x) < 2^(i+1)
+        if x % powers[i] == 0:
+            x //= powers[i]
+            v += 2**i
     return v

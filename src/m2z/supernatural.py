@@ -14,7 +14,8 @@ rational scalar, and a single scalar rescales the whole valuation profile of
 a + c*z to zero, so "a + c*z is a profinite unit" is exactly
 "no component vanishes".  Orbits of the action classify the extensions of Q
 by Z up to abstract group isomorphism, and deciding orbit membership reduces
-to an exact rational linear system plus validation of the candidate matrix.
+to intersecting rational lines in two unknowns plus validation of the one
+candidate matrix.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from operator import itemgetter
 
 from .errors import Degenerate, NotAUnit, NotRepresentable
 from .matrices import IntMatrix2, _parse_entries
-from .primes import factor, is_prime
+from .primes import factor, is_prime, valuation
 
 __all__ = [
     "ComponentwiseProfinite",
@@ -225,12 +226,8 @@ def _power_exponent(p: int, w: Fraction) -> int | None | str:
         return None
     if w.denominator != 1 or w < 1:
         return "bad"
-    n = w.numerator
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e if n == 1 else "bad"
+    e = valuation(w.numerator, p)
+    return e if p**e == w.numerator else "bad"
 
 
 def moebius_apply(g: MoebiusMatrix, z: ComponentwiseProfinite) -> ComponentwiseProfinite:
@@ -288,43 +285,6 @@ class NotEquivalent:
 EquivVerdict = Equivalent | NotEquivalent
 
 
-def _solve_rational_system(
-    rows: list[list[Fraction]], rhs: list[Fraction]
-) -> tuple[list[Fraction], list[list[Fraction]]] | None:
-    """Gauss-Jordan over Q: (particular solution, nullspace basis), or None."""
-    ncols = len(rows[0])
-    aug = [row[:] + [r] for row, r in zip(rows, rhs)]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(rank, len(aug)) if aug[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        aug[rank], aug[pivot_row] = aug[pivot_row], aug[rank]
-        scale = aug[rank][col]
-        aug[rank] = [v / scale for v in aug[rank]]
-        for i, row in enumerate(aug):
-            if i != rank and row[col] != 0:
-                factor_ = row[col]
-                aug[i] = [v - factor_ * w for v, w in zip(row, aug[rank])]
-        pivots.append(col)
-        rank += 1
-    if any(row[-1] != 0 for row in aug[rank:]):
-        return None
-    particular = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        particular[col] = aug[i][-1]
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for i, col in enumerate(pivots):
-            vec[col] = -aug[i][f]
-        basis.append(vec)
-    return particular, basis
-
-
 def _validated_witness(
     vec: list[Fraction], z: ComponentwiseProfinite, z_target: ComponentwiseProfinite
 ) -> MoebiusMatrix | None:
@@ -343,13 +303,15 @@ def equiv_decide(z: ComponentwiseProfinite, z_prime: ComponentwiseProfinite) -> 
 
     Any witness can be rescaled so that a + c = 1 = b + d (the default
     components force a + c = b + d, and a + c = 0 is impossible with finite
-    support), which together with one equation per support prime pins the
-    matrix down to an exact rational linear system.  A support row is never a
-    combination of the first two (that needs z_p = 1), so the solutions form a
-    point or a line P + t*D.  On the line the equations fix every image
-    component, det is quadratic in t and each a + c*z_p is linear, so unless
-    one of them vanishes identically at most |support| + 2 values of t fail:
-    the first |support| + 3 integers 0, 1, -1, 2, -2, ... decide.
+    support).  Then a = 1 - c and b = 1 - d, and b + z_p*d = w_p*(a + z_p*c)
+    at a support prime p, with w_p the component of z_prime, is the line
+    d - w_p*c = (w_p - 1)/(z_p - 1) in the plane of (c, d); z_p != 1 there.
+    Lines of distinct primes coincide only when both components are 0 in z
+    and in z_prime, so for z != z_prime one distinct line means a single
+    support prime.  Its point with d = 0 (c = 0 when w_p = 0) always
+    validates.  Two distinct lines with equal w_p are parallel, hence
+    infeasible; otherwise two lines of different w_p meet in one point, which
+    must lie on every other line.  The one candidate is then validated.
     """
     if z.zero_everywhere or z_prime.zero_everywhere:
         if z == z_prime:
@@ -364,27 +326,25 @@ def equiv_decide(z: ComponentwiseProfinite, z_prime: ComponentwiseProfinite) -> 
     if set(z.support) != set(z_prime.support):
         return NotEquivalent("prime-divisor-obstruction")
 
-    one = Fraction(1)
-    zero = Fraction(0)
-    rows = [[one, zero, one, zero], [zero, one, zero, one]]  # a+c = 1, b+d = 1
-    rhs = [one, one]
+    lines = []  # (w_p, r_p) of each distinct line d - w_p*c = r_p
     for p in z.support:
-        zp = Fraction(z.value_at(p))
-        wp = Fraction(z_prime.value_at(p))
-        # b + zp*d = wp*(a + zp*c)
-        rows.append([-wp, one, -wp * zp, zp])
-        rhs.append(zero)
-    solved = _solve_rational_system(rows, rhs)
-    if solved is None:
-        return NotEquivalent("infeasible-system")
-    particular, basis = solved
-    direction = basis[0] if basis else [zero] * 4
-    for i in range(len(z.support) + 3 if basis else 1):
-        t = (i + 1) // 2 if i % 2 else -(i // 2)
-        witness = _validated_witness([v + t * w for v, w in zip(particular, direction)], z, z_prime)
-        if witness:
-            return Equivalent(witness)
-    return NotEquivalent("infeasible-system")
+        wp = z_prime.value_at(p)
+        if (line := (wp, Fraction(wp - 1, z.value_at(p) - 1))) not in lines:
+            lines.append(line)
+    (w, r), *others = lines
+    if not others:
+        c, d = (-r / w, Fraction(0)) if w else (Fraction(0), r)
+    else:
+        crossing = next(((w2, r2) for w2, r2 in others if w2 != w), None)
+        if crossing is None:
+            return NotEquivalent("infeasible-system")
+        w2, r2 = crossing
+        c = (r - r2) / (w2 - w)
+        d = r + w * c
+        if any(d - wq * c != rq for wq, rq in others):
+            return NotEquivalent("infeasible-system")
+    witness = _validated_witness([1 - c, 1 - d, c, d], z, z_prime)
+    return Equivalent(witness) if witness else NotEquivalent("infeasible-system")
 
 
 def system_determinant(p: int, k: int, u: int, q: int, r: int, v: int) -> int:

@@ -259,14 +259,16 @@ class TestExtCommand:
 
 
 class TestLargePrimeLiterals:
-    # trial division kept both running past a 10 s timeout; each now takes
-    # well under a second, so a 5 s timeout in a fresh process catches a
-    # regression
+    # trial division kept the first two running past a 10 s timeout, and
+    # stripping 2 one factor at a time kept the third running for 28 s; each
+    # now takes well under a second, so a 5 s timeout in a fresh process
+    # catches a regression
     @pytest.mark.parametrize(
         "argv, expected",
         [
             (("ext", "member", "1", "--", "1/100000000000000000039", "0"), "false\n"),
             (("ext", "apply", "1,0;0,1", "1000000000000000003^1"), "1000000000000000003^1\n"),
+            (("ext", "apply", "1,0;0,1", "2^300000"), "2^300000\n"),
         ],
     )
     def test_answers_in_time(self, argv, expected):

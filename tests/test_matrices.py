@@ -260,6 +260,13 @@ class TestLevelNiveau:
         assert niveau(MatrixClass(2, 0, 4), 2) == 1
         assert niveau(MatrixClass(1, 0, 9), 3) == 2
 
+    @pytest.mark.parametrize("p", [1, 0, -1])
+    def test_base_below_two_is_refused(self, p):
+        with pytest.raises(ValueError):
+            level(MatrixClass(2, 1, 4), p)
+        with pytest.raises(ValueError):
+            niveau(MatrixClass(2, 1, 4), p)
+
     def test_niveau_nonnegative(self):
         rng = random.Random(123)
         for _ in range(200):
@@ -332,6 +339,11 @@ class TestAutomorphism:
         expected = g @ m @ g_inv
         assert expected == IntMatrix2(1, 1, 0, 2)
         assert apply_automorphism(m, CharacterSpec(), g) == expected
+
+    @pytest.mark.parametrize("key", [1, 0, -1, 4, 15])
+    def test_character_refuses_a_nonprime_key(self, key):
+        with pytest.raises(ValueError, match="not prime"):
+            CharacterSpec(sign_at_prime={key: -1})
 
     def test_not_unimodular(self):
         with pytest.raises(NotUnimodular):

@@ -97,5 +97,23 @@ def test_valuation():
     assert valuation(-48, 2) == 4
     assert valuation(Fraction(3, 8), 2) == -3
     assert valuation(Fraction(9, 5), 3) == 2
+    assert valuation(3**100000, 3) == 100000
+    assert valuation(Fraction(5, 2**1000), 2) == -1000
     with pytest.raises(ValueError):
         valuation(0, 2)
+    # against dividing out one factor at a time
+    for p in (2, 3, 4, 6, 97):
+        for e in range(70):
+            for unit in (1, 5, -7, 11 * 13):
+                x, v = unit * p**e, 0
+                while x % p == 0:
+                    x //= p
+                    v += 1
+                assert valuation(unit * p**e, p) == v
+
+
+@pytest.mark.parametrize("p", [1, 0, -1, -2])
+def test_valuation_needs_a_base_of_at_least_two(p):
+    # 1 and -1 divide every integer any number of times, and 0 divides none
+    with pytest.raises(ValueError):
+        valuation(12, p)
