@@ -8,11 +8,11 @@ vertex embeds as the unique class with coprime entries
 
 and the hyper-distance pulled back through the embedding agrees with the
 classical one computed from the alpha-matrices (M, g/h; 0, 1).  Two vertices
-are joined by an edge when their distance is prime.  A vertex has one
-neighbour below it at each prime dividing its determinant, in closed form, so
-the ball around the origin (the primitive classes of bounded determinant) is
-generated with its edges; a ball around any other vertex is that ball moved
-by the embedded centre, since the picture is homogeneous.
+are joined by an edge when their distance is prime.  A vertex's neighbours
+above it at each prime are known in closed form, so the ball around the origin
+(the primitive classes of bounded determinant) is streamed vertex by vertex,
+then edge by edge; a ball around any other vertex is that ball moved by the
+embedded centre, since the picture is homogeneous.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import gcd, isqrt, lcm, prod
-from typing import Iterator, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from .errors import NotPrimitive
 from .matrices import MatrixClass, hnf, hyper_distance, primitive_decompose
@@ -38,6 +38,7 @@ __all__ = [
     "delta_direct",
     "bp_leq",
     "ball",
+    "origin_ball",
     "export_dot",
     "export_json",
     "parse_vertex",
@@ -83,6 +84,9 @@ class PictureGraph:
     @cached_property
     def vertices(self) -> tuple[BigPictureVertex, ...]:
         return tuple(unembed(m) for m in self.classes)
+
+    def __iter__(self) -> Iterator:  # unpacks as (classes, edges), the pair the exporters read
+        return iter((self.classes, self.edges))
 
 
 def embed(x: BigPictureVertex) -> MatrixClass:
@@ -131,62 +135,55 @@ def bp_leq(x: BigPictureVertex, y: BigPictureVertex) -> bool:
     return delta(_ONE, y) == delta(x, y) * delta(_ONE, x)
 
 
-# At radius 725 (399,490 vertices) ``m2z ball`` peaked at 155 MB RSS around the
-# origin and 302 MB around a centre of det ~2^123, in JSON and in DOT.
-# Moved classes carry the centre's digits: a radius-510 ball around a centre of
-# det ~2^761 took 2.4 KB per vertex against 0.9 KB around the origin, about
-# 2 bytes per bit of det embed(centre).  So a vertex weighs one more per
-# BALL_VERTEX_BITS bits; 128 keeps the heaviest weight-1 ball (det ~2^123,
-# 302 MB at radius 725) within about twice the origin's.
+# At radius 725 (399,490 vertices) ``m2z ball`` peaked at 18 MB RSS around the
+# origin, which is streamed, and 189 MB around a centre of det ~2^123, which is
+# built, in JSON and in DOT.  Moved classes carry the centre's digits, about
+# 2 bytes per bit of det embed(centre) (2.4 KB per vertex at det ~2^761 against
+# 0.9 KB at the origin), so a vertex weighs one more per BALL_VERTEX_BITS bits:
+# 128 kept the heaviest weight-1 ball within about twice a built origin ball
+# (302 MB against 155 MB).
 MAX_BALL_VERTICES = 400_000
 BALL_VERTEX_BITS = 128
 
 
-def _lower_neighbour(a: int, b: int, d: int, p: int) -> tuple[int, int, int]:
-    """meet(v, (det v / p) * I) for the primitive v = (a, b; 0, d), p | ad."""
-    if d % p == 0:
-        return a, b % (d // p), d // p
-    return a // p, b * pow(p, -1, d) % d, d
+def _upper_neighbours(a: int, b: int, d: int, p: int) -> list[tuple[int, int, int]]:
+    """The w above the primitive (a, b; 0, d) at p, in ball order: the primitive
+    (a, b + k*d; 0, p*d) for k < p, then (p*a, b*p mod d; 0, d) if p does not
+    divide d.  Each has meet(w, (det w / p) * I) = (a, b; 0, d)."""
+    lifts = [(a, lift, p * d) for lift in range(b, p * d, d) if gcd(a, lift, p * d) == 1]
+    return lifts + [(p * a, b * p % d, d)] if d % p else lifts
 
 
-def ball(center: BigPictureVertex, radius: int) -> PictureGraph:
-    """All vertices within hyper-distance ``radius`` of ``center``, plus the
-    prime-weight edges among them.
+def origin_ball(radius: int, weight: int = 1) -> tuple[int, int, Iterator[MatrixClass], Iterator[tuple[int, int, int]]]:
+    """The ball of ``radius`` around the origin, streamed: its numbers of
+    vertices and of edges, then one-pass iterators of its classes and of its
+    edges, as ``ball`` orders them.  The size guard of ``ball``, each vertex
+    weighing ``weight``, runs first; only O(R log R) numbers are held.
 
-    Around the origin the ball is the primitive classes (a, b; 0, d) with
-    ad <= radius, generated in order.  Z^2 / L_v is cyclic for a primitive v,
-    so v has one neighbour below it at each p | ad: (a, b mod d/p; 0, d/p) if
-    p | d, else (a/p, b * p^-1 mod d; 0, d).  Those are the edges.  The
-    origin ball is not moved; for another centre it is moved by the isometry
-    v -> primitive part of v * embed(center).  Vertices ascend by determinant
-    of the embedding, then lexicographically by representative.
-
-    A neighbour's index is found in closed form, with no per-vertex table.
-    The classes with diagonal (a, d) form one block, starting at start[a, d]
-    (about R ln R blocks), in which b runs through the b in [0, d) coprime to
-    c = gcd(a, d).  So b sits at start[a, d] + rank(b), where rank(b) =
-    (b // c) * phi(c) + #{r < b mod c : gcd(r, c) = 1}, read from a table
-    per c; c^2 | ad, so c <= isqrt(R).  When c = 1, rank(b) = b.
-
-    A ball of radius R has sum_{n <= R} psi(n) vertices, each weighing
-    1 + bits(det embed(center)) // BALL_VERTEX_BITS; above a total weight of
-    MAX_BALL_VERTICES = 400,000 (radius 726 and up for a centre of det below
-    2^128) MemoryError is raised before anything is built.
+    Vertex i's edges go to its upper neighbours of det <= R, prime by prime.
+    The classes with diagonal (a, d) form a block from start[a, d], in which b
+    runs through the b in [0, d) coprime to c = gcd(a, d); so b sits at
+    start[a, d] + (b // c) * phi(c) + #{r < b mod c : gcd(r, c) = 1}, read
+    from a table per c (c^2 | ad, so c <= isqrt(R)).
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    limit = MAX_BALL_VERTICES // (1 + embed(center).det.bit_length() // BALL_VERTEX_BITS)
+    limit = MAX_BALL_VERTICES // weight
     too_large = MemoryError(f"a ball of radius {radius} has over {limit} vertices")
     if radius * (radius + 1) // 2 > limit:  # psi(n) >= n: a huge radius is never factored
         raise too_large
     primes = [list(factor(n)) for n in range(1, radius + 1)]
-    if sum(n // prod(ps) * prod(p + 1 for p in ps) for n, ps in enumerate(primes, 1)) > limit:
+    psi = [n // prod(ps) * prod(p + 1 for p in ps) for n, ps in enumerate(primes, 1)]
+    if sum(psi) > limit:
         raise too_large
-    classes, start, edges = [], {}, []
+    small = [n for n, ps in enumerate(primes, 1) if ps == [n]]
     # units_below[c][s] = #{r < s : gcd(r, c) = 1}, so units_below[c][c] = phi(c)
     units_below = [
         list(accumulate((gcd(r, c) == 1 for r in range(c)), initial=0)) for c in range(isqrt(radius) + 1)
     ]
+    blocks = [(a, n // a) for n in range(1, radius + 1) for a in range(1, n + 1) if n % a == 0]
+    sizes = (d // gcd(a, d) * units_below[gcd(a, d)][-1] for a, d in blocks)
+    start = dict(zip(blocks, accumulate(sizes, initial=0)))
 
     def index(a: int, b: int, d: int) -> int:
         c = gcd(a, d)
@@ -195,26 +192,55 @@ def ball(center: BigPictureVertex, radius: int) -> PictureGraph:
         below = units_below[c]
         return start[a, d] + b // c * below[c] + below[b % c]
 
-    for n, ps in enumerate(primes, 1):
-        for a in (a for a in range(1, n + 1) if n % a == 0):
-            d = n // a
-            c = gcd(a, d)
-            start[a, d] = len(classes)
-            for b in (b for b in range(d) if c == 1 or gcd(c, b) == 1):
-                i = len(classes)
-                classes.append(MatrixClass(a, b, d))
-                edges += [(index(*_lower_neighbour(a, b, d, p)), i, p) for p in ps]
-    if center != _ONE:
-        g = embed(center).to_matrix()
-        moved = [primitive_decompose(hnf(m.to_matrix() @ g))[1] for m in classes]
-        order = sorted(range(len(moved)), key=lambda i: (moved[i].det, moved[i].a, moved[i].b, moved[i].d))
-        rank = [0] * len(order)
-        for new, old in enumerate(order):
-            rank[old] = new
-        classes = [moved[i] for i in order]
-        edges = [(min(rank[i], rank[j]), max(rank[i], rank[j]), p) for i, j, p in edges]
-    edges.sort()
-    return PictureGraph(tuple(classes), tuple(edges))
+    def members() -> Iterator[tuple[int, int, int]]:
+        return ((a, b, d) for a, d in start for b in range(d) if gcd(a, b, d) == 1)
+
+    def edges() -> Iterator[tuple[int, int, int]]:
+        for i, (a, b, d) in enumerate(members()):
+            if 2 * a * d > radius:
+                return
+            for p in small:
+                if p * a * d > radius:
+                    break
+                for w in _upper_neighbours(a, b, d, p):
+                    yield i, index(*w), p
+
+    degrees = sum(k * len(ps) for k, ps in zip(psi, primes))  # each vertex has one edge down per prime of det
+    return sum(psi), degrees, (MatrixClass(*m) for m in members()), edges()
+
+
+def ball(center: BigPictureVertex, radius: int) -> PictureGraph:
+    """All vertices within hyper-distance ``radius`` of ``center``, plus the
+    prime-weight edges among them.
+
+    Around the origin the ball is the primitive classes (a, b; 0, d) with
+    ad <= radius, streamed by ``origin_ball`` vertex by vertex, then edge by
+    edge.  Z^2 / L_v is cyclic for a primitive v, so v has p + 1 - [p | ad]
+    neighbours above it at each prime p: the primitive (a, b + k*d; 0, p*d)
+    for k < p, and (p*a, b*p mod d; 0, d) if p does not divide d.  Vertices
+    ascend by determinant of the embedding, then by representative, so vertex
+    i's edges are those to its upper neighbours.  Another centre's ball is the
+    origin ball moved by v -> primitive part of v * embed(center), sorted,
+    with its edges re-ranked.
+
+    A ball of radius R has sum_{n <= R} psi(n) vertices, each weighing
+    1 + bits(det embed(center)) // BALL_VERTEX_BITS; above a total weight of
+    MAX_BALL_VERTICES = 400,000 (radius 726 and up for a centre of det below
+    2^128) MemoryError is raised before anything is built.
+    """
+    _, _, classes, edges = origin_ball(radius, 1 + embed(center).det.bit_length() // BALL_VERTEX_BITS)
+    if center == _ONE:
+        return PictureGraph(tuple(classes), tuple(edges))
+    g = embed(center).to_matrix()
+    moved = [primitive_decompose(hnf(m.to_matrix() @ g))[1] for m in classes]
+    order = sorted(range(len(moved)), key=lambda i: (moved[i].det, moved[i].a, moved[i].b))
+    classes = tuple(map(moved.__getitem__, order))
+    rank = [0] * len(order)
+    for new, old in enumerate(order):
+        rank[old] = new
+    del moved, order  # the edges need only ``rank``: free the rest before sorting them
+    edges = sorted((min(rank[i], rank[j]), max(rank[i], rank[j]), p) for i, j, p in edges)
+    return PictureGraph(classes, tuple(edges))
 
 
 def _ratio(num: int, den: int) -> str:
@@ -222,21 +248,21 @@ def _ratio(num: int, den: int) -> str:
     return f"{num // g}/{den // g}"
 
 
-def _dot_parts(g: PictureGraph) -> Iterator[str]:
+def _dot_parts(classes: Iterable[MatrixClass], edges: Iterable[tuple[int, int, int]]) -> Iterator[str]:
     yield "graph picture {\n"
-    for i, m in enumerate(g.classes):
+    for i, m in enumerate(classes):
         yield f'  n{i} [label="M={_ratio(m.a, m.d).removesuffix("/1")} r={_ratio(m.b, m.d)}", det={m.det}];\n'
-    for i, j, p in g.edges:
+    for i, j, p in edges:
         yield f"  n{i} -- n{j} [label={p}];\n"
     yield "}\n"
 
 
-def _json_parts(g: PictureGraph) -> Iterator[str]:
+def _json_parts(classes: Iterable[MatrixClass], edges: Iterable[tuple[int, int, int]]) -> Iterator[str]:
     yield '{"vertices": ['
-    for i, m in enumerate(g.classes):
+    for i, m in enumerate(classes):
         yield f'{", " if i else ""}{{"M": "{_ratio(m.a, m.d)}", "r": "{_ratio(m.b, m.d)}", "det": {m.det}}}'
     yield '], "edges": ['
-    for k, (i, j, p) in enumerate(g.edges):
+    for k, (i, j, p) in enumerate(edges):
         yield f'{", " if k else ""}[{i}, {j}, {p}]'
     yield "]}"
 
@@ -244,13 +270,15 @@ def _json_parts(g: PictureGraph) -> Iterator[str]:
 def export_dot(g: PictureGraph, out: TextIO | None = None) -> str | None:
     """Deterministic undirected DOT text; byte-identical for equal inputs.
 
+    ``g`` is a PictureGraph or a pair (classes, edges) of iterables, each read
+    once and in order, such as the streams of ``origin_ball``.
     Returned as one string, or, given a text stream ``out``, written to it in
     chunks of textout.CHUNK_PARTS lines (the same text, never held whole) and
     None returned.
     """
     if out is None:
-        return "".join(_dot_parts(g))
-    write_chunks(out, _dot_parts(g))
+        return "".join(_dot_parts(*g))
+    write_chunks(out, _dot_parts(*g))
     return None
 
 
@@ -258,13 +286,14 @@ def export_json(g: PictureGraph, out: TextIO | None = None) -> str | None:
     """JSON with vertices [{M, r, det}] (fractions as "num/den") and edges,
     with no trailing newline.
 
+    ``g`` is read as by ``export_dot``.
     Returned as one string, or, given a text stream ``out``, written to it in
     chunks of textout.CHUNK_PARTS vertices or edges (the same text, never held
     whole) and None returned.
     """
     if out is None:
-        return "".join(_json_parts(g))
-    write_chunks(out, _json_parts(g))
+        return "".join(_json_parts(*g))
+    write_chunks(out, _json_parts(*g))
     return None
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import chain
 from operator import ne
 
-from .bigpicture import ball, delta_direct, embed, export_dot, export_json, parse_vertex, unembed
+from .bigpicture import ball, delta_direct, embed, export_dot, export_json, origin_ball, parse_vertex, unembed
 from .errors import DomainError
 from .matrices import hnf, hyper_distance, parse_matrix
 from .supernatural import (
@@ -29,7 +29,7 @@ from .supernatural import (
     parse_moebius,
     parse_supernatural,
 )
-from .textout import write_chunks
+from .textout import CHUNK_PARTS, write_chunks
 from .zeta import axpb_count, count_classes_by_det, count_primitive_by_det, psi_coeffs, sigma_coeffs
 
 
@@ -70,17 +70,18 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_ball(args) -> int:
-    if "=" in args.center:
-        center = parse_vertex(args.center)
+    m = _parse_class(args.center)[0]
+    if m.det == 1:  # the origin, whose ball is streamed
+        vertices, edges, *graph = origin_ball(args.radius)
     else:
-        center = unembed(hnf(parse_matrix(args.center)))
-    graph = ball(center, args.radius)
+        graph = ball(unembed(m), args.radius)
+        vertices, edges = len(graph.classes), len(graph.edges)
     if args.format == "dot":
         export_dot(graph, sys.stdout)
     else:
         export_json(graph, sys.stdout)
         sys.stdout.write("\n")
-    print(f"vertices: {len(graph.classes)} edges: {len(graph.edges)}", file=sys.stderr)
+    print(f"vertices: {vertices} edges: {edges}", file=sys.stderr)
     return 0
 
 
@@ -97,16 +98,24 @@ def _write_csv(header: str | None, rows) -> None:
     write_chunks(sys.stdout, rows if header is None else chain((header + "\n",), rows))
 
 
+def _zeta_json_parts(columns: list[list[int]], mism: int | None):
+    """The JSON payload of ``zeta`` and its newline, as json.dumps writes
+    them, in parts of CHUNK_PARTS numbers."""
+    for key, column in zip(("",) if mism is None else ('{"formula": ', ', "enumerated": '), columns):
+        yield key + "["
+        for k in range(0, len(column), CHUNK_PARTS):
+            yield ", " * (k > 0) + json.dumps(column[k : k + CHUNK_PARTS])[1:-1]
+        yield "]"
+    yield "\n" if mism is None else f', "mismatches": {mism}}}\n'
+
+
 def _cmd_zeta(args) -> int:
     formula_fn, enumerate_fn = _ZETA_ROUTES[args.which]
     fns = {"formula": (formula_fn,), "enumerate": (enumerate_fn,), "both": (formula_fn, enumerate_fn)}[args.mode]
     columns = [fn(args.terms).coeffs[1:] for fn in fns]
     mism = sum(map(ne, *columns)) if len(columns) == 2 else None
     if args.format == "json":
-        if mism is None:
-            print(json.dumps(columns[0]))
-        else:
-            print(json.dumps({"formula": columns[0], "enumerated": columns[1], "mismatches": mism}))
+        sys.stdout.writelines(_zeta_json_parts(columns, mism))
     elif mism is None:
         header = "n,coefficient" if args.header else None
         _write_csv(header, (f"{i},{c}\n" for i, c in enumerate(columns[0], start=1)))
@@ -224,6 +233,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # argv bounds the literals; an answer may have more than 4,300 digits
     try:
         return args.func(args)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -235,6 +246,8 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"too large: {str(exc) or 'the answer does not fit in memory'}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

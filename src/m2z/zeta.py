@@ -61,9 +61,9 @@ class CoefficientTable:
         return self.coeffs[n]
 
 
-# At 3,000,000 terms the heaviest call, ``m2z zeta --mode both --format json``,
-# peaked at 445 MB RSS for M and for P (157 MB at 10^6), near the 450 MB that
-# MAX_BALL_VERTICES was sized for; in CSV it peaked at 338 MB.
+# At 3,000,000 terms ``m2z zeta --mode both`` peaked at 339 MB RSS for M and for
+# P, in JSON and in CSV (124 MB at 10^6).  The limit was set when JSON peaked at
+# 445 MB there, near the 450 MB that MAX_BALL_VERTICES was then sized for.
 MAX_ZETA_TERMS = 3_000_000
 
 

@@ -10,7 +10,8 @@ import pytest
 
 from m2z.bigpicture import ball, export_dot, export_json, parse_vertex
 from m2z.cli import main
-from m2z.zeta import MAX_ZETA_TERMS
+from m2z.supernatural import MoebiusMatrix, moebius_apply, parse_supernatural
+from m2z.zeta import MAX_ZETA_TERMS, count_primitive_by_det, psi_coeffs
 
 
 def run(capsys, *argv):
@@ -119,8 +120,9 @@ class TestBallCommand:
     def test_stdout_is_the_export(self, capsys, center, radius):
         # det embed(625/16, 3/16) = 10^4
         graph = ball(parse_vertex(center), radius)
-        _, out, _ = run(capsys, "ball", center, "--radius", str(radius), "--format", "dot")
+        _, out, err = run(capsys, "ball", center, "--radius", str(radius), "--format", "dot")
         assert out == export_dot(graph)
+        assert err == f"vertices: {len(graph.classes)} edges: {len(graph.edges)}\n"
         _, out, _ = run(capsys, "ball", center, "--radius", str(radius), "--format", "json")
         assert out == export_json(graph) + "\n"
 
@@ -138,6 +140,13 @@ class TestBallCommand:
         assert code == 0
         assert len(writes) > 2
         assert max(map(len, writes)) < len(out)
+
+    def test_first_ball_over_the_guard_writes_nothing(self, capsys):
+        # sum_{n <= 726} psi(n) = 401,074: the streamed origin ball is refused before its first byte
+        code, out, err = run(capsys, "ball", "M=1,r=0", "--radius", "726")
+        assert code == 2
+        assert out == ""
+        assert err == "too large: a ball of radius 726 has over 400000 vertices\n"
 
 
 class TestZetaCommand:
@@ -196,6 +205,27 @@ class TestZetaCommand:
         assert code == 0
         assert out == "n,coefficient\n" + "".join(f"{i},1\n" for i in range(1, 40001))
         assert len(writes) > 2
+
+    @pytest.mark.parametrize("mode", ["formula", "both"])
+    def test_long_json_is_the_dumps_text_written_in_chunks(self, capsys, monkeypatch, mode):
+        writes = []
+        real_write = sys.stdout.write
+
+        def write(text):
+            writes.append(text)
+            return real_write(text)
+
+        monkeypatch.setattr(sys.stdout, "write", write)
+        code, out, _ = run(capsys, "zeta", "--which", "P", "--terms", "3000", "--mode", mode, "--format", "json")
+        assert code == 0
+        formula = psi_coeffs(3000).coeffs[1:]
+        if mode == "formula":
+            assert out == json.dumps(formula) + "\n"
+        else:
+            enumerated = count_primitive_by_det(3000).coeffs[1:]
+            assert out == json.dumps({"formula": formula, "enumerated": enumerated, "mismatches": 0}) + "\n"
+        assert len(writes) > 2
+        assert max(map(len, writes)) < len(out) // 2
 
 
 class TestExtCommand:
@@ -279,6 +309,37 @@ class TestLargePrimeLiterals:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout == expected
+
+
+class TestAnswersOverTheDefaultDigitCap:
+    # int.__str__ refuses more than 4,300 digits by default; these literals
+    # parse within it, but the answers are longer
+    def test_equiv_witness(self, capsys):
+        digits = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "ext", "equiv", "2^1", "2^20000")
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == digits  # main restores the cap
+        sys.set_int_max_str_digits(0)
+        try:
+            payload = json.loads(out)
+            (a, b), (c, d) = payload["witness"]
+            image = moebius_apply(MoebiusMatrix(a, b, c, d), parse_supernatural("2^1"))
+            assert payload["verdict"] == "Equivalent"
+            assert image == parse_supernatural("2^20000")
+        finally:
+            sys.set_int_max_str_digits(digits)
+
+    def test_distance_of_two_long_classes(self, capsys):
+        digits = sys.get_int_max_str_digits()
+        x, y = "3" * 3000, "7" * 3000
+        code, out, err = run(capsys, "dist", f"M={x},r=0", f"M=1/{y},r=0")
+        assert (code, err) == (0, "")
+        expected = int(x) * int(y)
+        sys.set_int_max_str_digits(0)
+        try:
+            assert json.loads(out) == {"delta": expected, "via_alpha": expected, "agree": True}
+        finally:
+            sys.set_int_max_str_digits(digits)
 
 
 def test_out_of_memory_is_a_usage_error():

@@ -11,9 +11,9 @@ from math import gcd, prod
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from m2z.bigpicture import BigPictureVertex, _lower_neighbour, ball, parse_vertex
+from m2z.bigpicture import BigPictureVertex, _upper_neighbours, ball, origin_ball, parse_vertex
 from m2z.errors import Degenerate, DomainError
-from m2z.localposet import localize
+from m2z.localposet import localize, upward_neighbors
 from m2z.matrices import (
     IntMatrix2,
     MatrixClass,
@@ -273,19 +273,25 @@ def test_distance_factors_prime_by_prime(x, y):
 def primitive_and_prime(draw):
     a, d = draw(st.integers(1, 300)), draw(st.integers(1, 300))
     b = draw(st.integers(0, d - 1))
-    assume(gcd(a, b, d) == 1 and a * d > 1)
-    return MatrixClass(a, b, d), draw(st.sampled_from(sorted(factor(a * d))))
+    assume(gcd(a, b, d) == 1)
+    return MatrixClass(a, b, d), draw(st.sampled_from(sorted({2, 3, 5, 7, *factor(a * d)})))
 
 
 @settings(max_examples=300, deadline=None)
 @given(primitive_and_prime())
-def test_closed_form_lower_neighbour_is_the_meet(case):
+def test_closed_form_upper_neighbours_are_the_meet_inverses(case):
     v, p = case
-    n = v.det // p
-    below = MatrixClass(*_lower_neighbour(v.a, v.b, v.d, p))
-    assert below == meet(v, MatrixClass(n, 0, n))
-    assert below.is_primitive
-    assert hyper_distance(below, v) == p
+    above = [MatrixClass(*w) for w in _upper_neighbours(v.a, v.b, v.d, p)]
+    for w in above:
+        assert w.is_primitive
+        assert w.det == p * v.det
+        n = w.det // p
+        assert meet(w, MatrixClass(n, 0, n)) == v
+        assert hyper_distance(v, w) == p
+    assert len(above) == p + 1 - (v.det % p == 0)
+    local = [localize(w, p) for w in above]
+    assert len(set(local)) == len(local)
+    assert set(local) <= set(upward_neighbors(localize(v, p)))
 
 
 def origin_ball_by_meets(radius):
@@ -305,6 +311,13 @@ def origin_ball_by_meets(radius):
 def test_origin_ball_matches_the_meet_construction(radius):
     g = ball(BigPictureVertex.of(1), radius)
     assert (g.classes, g.edges) == origin_ball_by_meets(radius)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 80))
+def test_origin_ball_counts_are_its_stream_lengths(radius):
+    vertices, edges, classes, edge_stream = origin_ball(radius)
+    assert (vertices, edges) == (len(list(classes)), len(list(edge_stream)))
 
 
 @settings(max_examples=300, deadline=None)
