@@ -25,7 +25,7 @@ from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Iterator, TextIO
 
 from .errors import NotPrimitive
-from .matrices import MatrixClass, hnf, hyper_distance, primitive_decompose
+from .matrices import _RATIONAL, MatrixClass, _numbers, hnf, hyper_distance, primitive_decompose
 from .primes import factor
 from .textout import write_chunks
 
@@ -299,13 +299,5 @@ def export_json(g: PictureGraph, out: TextIO | None = None) -> str | None:
 
 def parse_vertex(text: str) -> BigPictureVertex:
     """Parse the literal "M=num/den,r=g/h" (plain integers allowed)."""
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"expected 'M=...,r=...' in {text!r}")
-    fields = {}
-    for part in parts:
-        key, _, value = part.partition("=")
-        fields[key.strip()] = value.strip()
-    if set(fields) != {"M", "r"}:
-        raise ValueError(f"expected fields M and r in {text!r}")
-    return BigPictureVertex.of(Fraction(fields["M"]), Fraction(fields["r"]))
+    pattern = rf"\s*M\s*=\s*{_RATIONAL}\s*,\s*r\s*=\s*{_RATIONAL}\s*"
+    return BigPictureVertex.of(*_numbers(pattern, text, '"M=num/den,r=g/h"'))

@@ -11,13 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from itertools import chain
 from operator import ne
 
 from .bigpicture import ball, delta_direct, embed, export_dot, export_json, origin_ball, parse_vertex, unembed
 from .errors import DomainError
-from .matrices import hnf, hyper_distance, parse_matrix
+from .matrices import _RATIONAL, _numbers, hnf, hyper_distance, parse_matrix
 from .supernatural import (
     Equivalent,
     ExtMatrix,
@@ -127,39 +126,33 @@ def _cmd_zeta(args) -> int:
     return 0
 
 
-def _cmd_ext(args) -> int:
+def _cmd_equiv(args) -> int:
+    verdict = equiv_decide(parse_supernatural(args.z1), parse_supernatural(args.z2))
+    if isinstance(verdict, Equivalent):
+        w = verdict.witness
+        payload = {"verdict": "Equivalent", "witness": [[w.a, w.b], [w.c, w.d]]}
+    else:
+        payload = {"verdict": "NotEquivalent", "reason": verdict.reason}
+    print(json.dumps(payload))
+    return 0
+
+
+def _cmd_apply(args) -> int:
     try:
-        if args.ext_command == "equiv":
-            z1 = parse_supernatural(args.z1)
-            z2 = parse_supernatural(args.z2)
-            verdict = equiv_decide(z1, z2)
-            if isinstance(verdict, Equivalent):
-                w = verdict.witness
-                payload = {"verdict": "Equivalent", "witness": [[w.a, w.b], [w.c, w.d]]}
-            else:
-                payload = {"verdict": "NotEquivalent", "reason": verdict.reason}
-            print(json.dumps(payload))
-        elif args.ext_command == "apply":
-            g = parse_moebius(args.matrix)
-            z = parse_supernatural(args.z)
-            print(str(moebius_apply(g, z)))
-        else:  # member
-            x = ExtMatrix(
-                parse_supernatural(args.s),
-                parse_supernatural(args.z),
-                parse_supernatural(args.sprime),
-            )
-            result = ext_membership(x, Fraction(args.u), Fraction(args.v))
-            print("true" if result else "false")
-        return 0
-    except DomainError as exc:
-        payload = {"error": type(exc).__name__}
+        image = moebius_apply(parse_moebius(args.matrix), parse_supernatural(args.z))
+    except DomainError as exc:  # Degenerate, NotAUnit or NotRepresentable; main reports it
         prime = getattr(exc, "prime", None)
-        if prime is not None:
-            payload["prime"] = prime
-        print(json.dumps(payload))
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        print(json.dumps({"error": type(exc).__name__} | ({} if prime is None else {"prime": prime})))
+        raise
+    print(str(image))
+    return 0
+
+
+def _cmd_member(args) -> int:
+    x = ExtMatrix(parse_supernatural(args.s), parse_supernatural(args.z), parse_supernatural(args.sprime))
+    [u], [v] = (_numbers(rf"\s*{_RATIONAL}\s*", text, "a rational num/den") for text in (args.u, args.v))
+    print("true" if ext_membership(x, u, v) else "false")
+    return 0
 
 
 def _cmd_goormaghtigh(args) -> int:
@@ -206,18 +199,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_equiv = ext_sub.add_parser("equiv", help="decide isomorphism of two classes")
     p_equiv.add_argument("z1", help='supernatural literal, e.g. "2^4*5^2*7^inf"')
     p_equiv.add_argument("z2")
-    p_equiv.set_defaults(func=_cmd_ext)
+    p_equiv.set_defaults(func=_cmd_equiv)
     p_apply = ext_sub.add_parser("apply", help="apply a projective matrix to a class")
     p_apply.add_argument("matrix", help='rational matrix literal "a,b;c,d"')
     p_apply.add_argument("z")
-    p_apply.set_defaults(func=_cmd_ext)
+    p_apply.set_defaults(func=_cmd_apply)
     p_member = ext_sub.add_parser("member", help="test membership of a column (u, v)")
     p_member.add_argument("z")
     p_member.add_argument("u")
     p_member.add_argument("v")
     p_member.add_argument("--s", default="1", help='the s entry (default "1")')
     p_member.add_argument("--sprime", default="0", help='the s\' entry (default "0")')
-    p_member.set_defaults(func=_cmd_ext)
+    p_member.set_defaults(func=_cmd_member)
 
     p_goor = sub.add_parser("goormaghtigh", help="repunit coincidence search")
     p_goor.add_argument("--bound", type=int, required=True)

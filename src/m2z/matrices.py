@@ -20,6 +20,7 @@ integers; the module is safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -314,20 +315,24 @@ def classes_with_det(n: int) -> Iterator[MatrixClass]:
             yield MatrixClass(a, b, d)
 
 
-def _parse_entries(text: str, number) -> list:
-    """The four entries of the literal "a,b;c,d", each converted by ``number``."""
-    rows = text.split(";")
-    if len(rows) != 2:
-        raise ValueError(f"expected two ';'-separated rows in {text!r}")
-    entries = []
-    for row in rows:
-        parts = row.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"expected two ','-separated entries in {row!r}")
-        entries.extend(number(part.strip()) for part in parts)
-    return entries
+# The number grammar of every literal: ASCII digits after an optional sign,
+# and in a rational one "/" before more digits.  A literal's pattern puts one
+# \s* where whitespace may stand, never two in a row, so a failed match stays
+# linear; no decimal point, exponent, "_" or non-ASCII digit reaches int().
+_DIGITS = "[0-9]+"
+_INTEGER = f"([+-]?{_DIGITS})"
+_RATIONAL = rf"([+-]?{_DIGITS}(?:\s*/\s*{_DIGITS})?)"
+_MATRIX = r"\s*{0}\s*,\s*{0}\s*;\s*{0}\s*,\s*{0}\s*"  # "a,b;c,d"; .format() puts in the entry
+
+
+def _numbers(pattern: str, text: str, form: str) -> list:
+    """The numbers ``pattern`` captures in all of ``text`` (a Fraction where
+    written with "/"); ValueError names ``form`` when it does not match."""
+    if (m := re.fullmatch(pattern, text)) is None:
+        raise ValueError(f"expected {form}, got {text!r}")
+    return [Fraction(int(n), int(d)) if d else int(n) for n, _, d in (g.partition("/") for g in m.groups())]
 
 
 def parse_matrix(text: str) -> IntMatrix2:
     """Parse the literal "a,b;c,d" (integers, semicolon rows)."""
-    return IntMatrix2(*_parse_entries(text, int))
+    return IntMatrix2(*_numbers(_MATRIX.format(_INTEGER), text, '"a,b;c,d" with integer entries'))

@@ -24,11 +24,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, lcm, log2, prod
 from operator import itemgetter
 
 from .errors import Degenerate, NotAUnit, NotRepresentable
-from .matrices import IntMatrix2, _parse_entries
+from .matrices import _DIGITS, _MATRIX, _RATIONAL, IntMatrix2, _numbers
 from .primes import factor, is_prime, valuation
 
 __all__ = [
@@ -166,27 +166,36 @@ def multiply(x: ComponentwiseProfinite, y: ComponentwiseProfinite) -> Componentw
     return ComponentwiseProfinite.of(out)
 
 
+# Guards checked before a literal's bases are tested or raised to a power
+# (2-CPU machine, Python 3.11.7).  is_prime took 1.1 s on a 4,096-bit prime,
+# and its cost grows about 8-fold per doubling of the bits; unguarded, a
+# 4,932-digit odd base took 14 s to refuse.  At 2^19 value bits "ext equiv 2^1
+# 2^524288" took 2.2 s; unguarded, "ext apply 1,0;0,1 2^3000000" took 17 s
+# and "ext equiv 2^1 2^3000000" over 60 s.
+MAX_BASE_BITS = 4096  # bits of all the bases together
+MAX_VALUE_BITS = 2**19  # e * log2(p), summed over the finite components
+_FACTOR = rf"({_DIGITS})\^(inf|{_DIGITS})"
+
+
 def parse_supernatural(text: str) -> ComponentwiseProfinite:
     """Parse "p^e" factors joined by "*"; "1" is empty, "0" is all-zero.
 
-    Rejects repeated primes and composite bases.
+    Rejects repeated primes and composite bases, and with MemoryError the
+    literals over MAX_BASE_BITS or MAX_VALUE_BITS.
     """
     text = text.strip()
-    if text == "0":
-        return ZERO_EVERYWHERE
-    if text == "1":
-        return ONE
-    comps: dict[int, int | None] = {}
-    for part in text.split("*"):
-        m = re.fullmatch(r"(\d+)\^(inf|\d+)", part.strip())
-        if not m:
-            raise ValueError(f"bad factor {part.strip()!r}; expected p^e or p^inf")
-        p = int(m.group(1))
-        if not is_prime(p):
-            raise ValueError(f"base {p} is not prime")
-        if p in comps:
-            raise ValueError(f"repeated prime {p}")
-        comps[p] = None if m.group(2) == "inf" else int(m.group(2))
+    if text in ("0", "1"):
+        return ONE if text == "1" else ZERO_EVERYWHERE
+    if not re.fullmatch(rf"{_FACTOR}(?:\s*\*\s*{_FACTOR})*", text):
+        raise ValueError(f"expected factors p^e or p^inf joined by '*', got {text!r}")
+    comps = {int(p): None if e == "inf" else int(e) for p, e in re.findall(_FACTOR, text)}
+    if len(comps) < text.count("^"):
+        raise ValueError(f"repeated prime in {text!r}")
+    if (bits := sum(p.bit_length() for p in comps)) > MAX_BASE_BITS:
+        raise MemoryError(f"the bases of a literal have {bits} bits, over the limit of {MAX_BASE_BITS}")
+    # min() keeps the float in range: an exponent over the limit is over on its own
+    if sum(min(e, MAX_VALUE_BITS + 1) * log2(p) for p, e in comps.items() if e and p > 1) > MAX_VALUE_BITS:
+        raise MemoryError(f"the value of a literal has over {MAX_VALUE_BITS} bits")
     return ComponentwiseProfinite.of(comps)
 
 
@@ -217,7 +226,7 @@ class MoebiusMatrix(IntMatrix2):
 
 def parse_moebius(text: str) -> MoebiusMatrix:
     """Parse "a,b;c,d" with integer or fractional entries."""
-    return MoebiusMatrix(*_parse_entries(text, Fraction))
+    return MoebiusMatrix(*_numbers(_MATRIX.format(_RATIONAL), text, '"a,b;c,d" with entries num/den'))
 
 
 def _power_exponent(p: int, w: Fraction) -> int | None | str:

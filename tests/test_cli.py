@@ -449,3 +449,51 @@ class TestDeterminism:
         outputs = [run(capsys, *argv) for _ in range(3)]
         assert len({out for _, out, _ in outputs}) == 1
         assert len({code for code, _, _ in outputs}) == 1
+
+
+def _fresh_run(*argv):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-m", "m2z.cli", *argv], env=env, capture_output=True, text=True, timeout=5)
+
+
+# Number forms outside the literal grammar (ASCII digits, an optional sign, one
+# "/" in a rational): each of these exited 0 when Fraction or int read them.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dist", "M=1e3,r=0", "M=1,r=0"),
+        ("ext", "member", "2^1", "0.5", "1/3"),
+        ("hnf", "1_000,0;0,1"),
+        ("ext", "equiv", "٣^1", "3^1"),  # ARABIC-INDIC DIGIT THREE
+        ("dist", "r=0,M=1", "M=1,r=0"),
+    ],
+)
+def test_removed_number_form_is_a_parse_error(argv):
+    result = _fresh_run(*argv)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("parse error:")
+    assert result.stderr.count("\n") == 1
+
+
+# Unguarded, each of these ran for 14 s to over a minute: Fraction expanded the
+# exponent form, or a huge supernatural value was raised to a power or tested
+# for primality.  Each is now refused before any of that.
+_ODD_BASE = "1" + "0" * 4930 + "7"  # 10^4931 + 7, with no prime factor below 43
+
+
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (("dist", "M=1e1000000,r=0", "M=1,r=0"), "parse error:"),
+        (("dist", "M=1e10000000,r=0", "M=1,r=0"), "parse error:"),
+        (("ext", "apply", "1,0;0,1", "2^3000000"), "too large:"),
+        (("ext", "equiv", "2^1", "2^3000000"), "too large:"),
+        (("ext", "apply", "1,0;0,1", f"{_ODD_BASE}^1"), "too large:"),
+    ],
+)
+def test_literal_bomb_is_refused_at_once(argv, prefix):
+    result = _fresh_run(*argv)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith(prefix)
+    assert result.stderr.count("\n") == 1

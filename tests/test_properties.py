@@ -1,7 +1,12 @@
 """Property tests for the invariants the big picture, the zeta tables, the
-extension classes and the local posets rest on."""
+extension classes and the local posets rest on, and for the CLI contract."""
 
+import io
+import json
+import re
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
@@ -12,6 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from m2z.bigpicture import BigPictureVertex, _upper_neighbours, ball, origin_ball, parse_vertex
+from m2z.cli import main
 from m2z.errors import Degenerate, DomainError
 from m2z.localposet import localize, upward_neighbors
 from m2z.matrices import (
@@ -491,3 +497,156 @@ def test_local_invariants_match_the_global_ones(x, p):
     assert c.niveau() == niveau(x, p)
     assert c.det_valuation() == valuation(x.det, p)
     assert c.level() == level(x, p)
+
+
+# the CLI contract over a small argv grammar: every call ends in exit 0, 1 or
+# 2, exit 0 writes the format its subcommand claims, and a literal outside the
+# number grammar (ASCII digits, an optional sign, one "/" in a rational) is one
+# "parse error:" line
+
+# 10^3000 - 1 makes answers longer than int()'s default 4,300-digit str cap
+boundary_integers = st.sampled_from([8191, 10**30, -(10**30), 1000000000000000003, 10**3000 - 1])
+integer_tokens = st.one_of(st.integers(-40, 40), boundary_integers).map(str)
+rational_tokens = st.one_of(integer_tokens, st.builds("{}/{}".format, integer_tokens, st.integers(0, 30)))
+# the removed forms first: decimals, exponents, "_" and non-ASCII digits
+bad_numbers = st.sampled_from(["0.5", "1e3", "1_000", "٣", "1.", "½", "0x10", "inf", "", "x", "1/", "/2", "1/-2", "--1"])
+bad_integers = st.one_of(bad_numbers, st.sampled_from(["1/2", "3/1"]))
+primes_and_not = st.sampled_from([2, 3, 5, 7, 11, 4, 1, 0, 1000000000000000003]).map(str)
+exponents = st.one_of(st.integers(0, 6).map(str), st.sampled_from(["inf", "10000000"]))
+
+
+def joined(fmt, *parts):
+    return st.builds(fmt.format, *parts)
+
+
+def factor_literals(base=primes_and_not, exponent=exponents):
+    return st.lists(joined("{}^{}", base, exponent), min_size=1, max_size=3).map("*".join)
+
+
+supernatural_literals = st.one_of(st.sampled_from(["0", "1"]), factor_literals())
+
+
+def matrix_literals(number):
+    return joined("{},{};{},{}", number, number, number, number)
+
+
+def vertex_literals(m, r):
+    return joined("M={},r={}", m, r)
+
+
+def one_bad(fmt, safe, bad):
+    """``fmt`` filled with the ``safe`` parts but one, which is drawn from ``bad``."""
+    return st.builds(lambda i, t: fmt.format(*safe[:i], t, *safe[i + 1 :]), st.integers(0, len(safe) - 1), bad)
+
+
+# kind: (documented literals, literals outside the grammar, one literal that
+# parses and fails nothing next to the one under test)
+LITERALS = {
+    "matrix": (
+        matrix_literals(integer_tokens),
+        st.one_of(one_bad("{},{};{},{}", ("1", "0", "0", "1"), bad_integers), st.sampled_from(["1,2;3", "1;2;3", "1,2,3;4,5,6"])),
+        "1,0;0,1",
+    ),
+    "class": (
+        st.one_of(matrix_literals(integer_tokens), vertex_literals(rational_tokens, rational_tokens)),
+        st.one_of(one_bad("M={},r={}", ("1", "0"), bad_numbers), vertex_literals(rational_tokens, rational_tokens).map(
+            lambda v: ",".join(reversed(v.split(","))))),  # the fields in the order r, M
+        "M=1,r=0",
+    ),
+    "rational_matrix": (matrix_literals(rational_tokens), one_bad("{},{};{},{}", ("1", "0", "0", "1"), bad_numbers), "1,0;0,1"),
+    "supernatural": (
+        supernatural_literals,
+        st.one_of(
+            factor_literals(base=st.sampled_from(["٣", "2.0", "1e1", "x", ""])),
+            factor_literals(exponent=st.sampled_from(["1e3", "1_0", "٣", "-1", "0.5", "Inf"])),
+        ),
+        "2^1",
+    ),
+    "rational": (rational_tokens, bad_numbers, "1/3"),
+}
+
+def options(*parts):
+    """The option words of a subcommand: "--name" then each drawn value, as text."""
+    names = parts[::2]
+    return st.tuples(*parts[1::2]).map(lambda values: [w for n, v in zip(names, values) for w in (n, str(v))])
+
+
+with_header = st.sampled_from([[], ["--header"]])
+zeta_options = st.tuples(
+    options(
+        "--which", st.sampled_from(["M", "P", "Pbar"]), "--terms", st.integers(-1, 300),
+        "--mode", st.sampled_from(["formula", "enumerate", "both"]), "--format", st.sampled_from(["csv", "json"]),
+    ),
+    with_header,
+).map(lambda o: o[0] + o[1])
+
+# subcommand: (the words before the literals, its literal kinds, each after
+# its option name or positional, and its other options)
+COMMANDS = {
+    "hnf": (["hnf"], [(None, "matrix")], st.just([])),
+    "dist": (["dist"], [(None, "class"), (None, "class")], st.just([])),
+    "ball": (["ball"], [(None, "class")], options("--radius", st.integers(-1, 30), "--format", st.sampled_from(["json", "dot"]))),
+    "zeta": (["zeta"], [], zeta_options),
+    "equiv": (["ext", "equiv"], [(None, "supernatural"), (None, "supernatural")], st.just([])),
+    "apply": (["ext", "apply"], [(None, "rational_matrix"), (None, "supernatural")], st.just([])),
+    "member": (
+        ["ext", "member"],
+        [(None, "supernatural"), (None, "rational"), (None, "rational"), ("--s", "supernatural"), ("--sprime", "supernatural")],
+        st.just([]),
+    ),
+    "goormaghtigh": (["goormaghtigh"], [], st.tuples(options("--bound", st.integers(-1, 10**5)), with_header).map(
+        lambda o: o[0] + o[1])),
+}
+
+DOT_LINE = re.compile(r'graph picture \{|  n\d+ \[label="M=\d+(/\d+)? r=\d+/\d+", det=\d+\];|  n\d+ -- n\d+ \[label=\d+\];|\}')
+
+
+def claims_its_format(command, argv, out):
+    lines = out.splitlines()
+    if command in ("hnf", "dist", "equiv") or (command in ("ball", "zeta") and "json" in argv):
+        return json.loads(out, parse_int=str) is not None  # no int() digit cap on the answer
+    if command == "ball":
+        return all(DOT_LINE.fullmatch(line) for line in lines)
+    if command in ("zeta", "goormaghtigh"):
+        return all(re.fullmatch(r"-?\d+(,-?\d+)+|[a-z,]+", line) for line in lines)
+    if command == "apply":
+        return out == f"{parse_supernatural(out)}\n"
+    return out in ("true\n", "false\n")  # member
+
+
+@st.composite
+def cli_calls(draw):
+    """(subcommand, argv, whether one literal is outside the grammar)."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    words, slots, options = COMMANDS[command]
+    bad = draw(st.one_of(st.none(), st.integers(0, len(slots) - 1))) if slots else None
+    argv, positionals = [*words, *draw(options)], []
+    for i, (flag, kind) in enumerate(slots):
+        documented, outside, safe = LITERALS[kind]
+        literal = draw(documented) if bad is None else draw(outside) if i == bad else safe
+        if flag:
+            argv += [flag, literal]
+        else:
+            positionals.append(literal)
+    return command, argv + (["--", *positionals] if positionals else []), bad is not None
+
+
+@settings(max_examples=400, deadline=timedelta(seconds=3))
+@given(cli_calls())
+def test_every_cli_call_keeps_the_contract(call):
+    command, argv, malformed = call
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if malformed:
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("parse error:") and err.count("\n") == 1, (argv, err)
+    elif code == 0:
+        assert claims_its_format(command, argv, out), (argv, out[:200])
+    elif code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert out == "" or (command == "apply" and "error" in json.loads(out)), (argv, out)
+    else:
+        assert code == 2, argv
+        assert out == "" and err.startswith(("parse error:", "too large:")) and err.count("\n") == 1, (argv, err)
