@@ -14,8 +14,8 @@ rational scalar, and a single scalar rescales the whole valuation profile of
 a + c*z to zero, so "a + c*z is a profinite unit" is exactly
 "no component vanishes".  Orbits of the action classify the extensions of Q
 by Z up to abstract group isomorphism, and deciding orbit membership reduces
-to intersecting rational lines in two unknowns plus validation of the one
-candidate matrix.
+to intersecting integer planes through the origin in three unknowns plus
+validation of the one candidate matrix.
 """
 
 from __future__ import annotations
@@ -146,8 +146,6 @@ def s_of(n: int) -> ComponentwiseProfinite:
 
 def p_infinity(p: int) -> ComponentwiseProfinite:
     """The element with component 0 at p and 1 elsewhere."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     return ComponentwiseProfinite.of({p: None})
 
 
@@ -229,16 +227,6 @@ def parse_moebius(text: str) -> MoebiusMatrix:
     return MoebiusMatrix(*_numbers(_MATRIX.format(_RATIONAL), text, '"a,b;c,d" with entries num/den'))
 
 
-def _power_exponent(p: int, w: Fraction) -> int | None | str:
-    # exponent e >= 0 with w = p^e, None for w = 0, "bad" otherwise
-    if w == 0:
-        return None
-    if w.denominator != 1 or w < 1:
-        return "bad"
-    e = valuation(w.numerator, p)
-    return e if p**e == w.numerator else "bad"
-
-
 def moebius_apply(g: MoebiusMatrix, z: ComponentwiseProfinite) -> ComponentwiseProfinite:
     """Apply z -> (b + d*z)/(a + c*z) componentwise.
 
@@ -246,39 +234,40 @@ def moebius_apply(g: MoebiusMatrix, z: ComponentwiseProfinite) -> ComponentwiseP
     for the default components, i.e. a + c = 0), and NotRepresentable when
     the image leaves the representable class: a component that is neither a
     p-power nor 0, or a default value (b+d)/(a+c) different from 1 that does
-    not make the whole result 0.
+    not make the whole result 0.  Everything is integer arithmetic on the
+    pairs b + d*z_p, a + c*z_p; a fraction is only built for a message.
     """
-    a, b, c, d = (Fraction(v) for v in g.entries())
+    a, b, c, d = g.entries()
     if z.zero_everywhere:
         if a == 0:
             raise NotAUnit(None)
-        w = b / a
-        if w == 0:
+        if b == 0:
             return ZERO_EVERYWHERE
-        if w == 1:
+        if b == a:
             return ONE
-        raise NotRepresentable(None, f"all components map to {w}")
+        raise NotRepresentable(None, f"all components map to {Fraction(b, a)}")
     if a + c == 0:
         raise NotAUnit(None)
-    images: dict[int, Fraction] = {}
+    images = []  # (p, b + d*z_p, a + c*z_p)
     for p, _ in z.components:
         zp = z.value_at(p)
-        t = a + c * zp
-        if t == 0:
+        if (t := a + c * zp) == 0:
             raise NotAUnit(p)
-        images[p] = (b + d * zp) / t
-    default = (b + d) / (a + c)
-    if default == 1:
+        images.append((p, b + d * zp, t))
+    if b + d == a + c:
         out: dict[int, int | None] = {}
-        for p, w in images.items():
-            e = _power_exponent(p, w)
-            if e == "bad":
-                raise NotRepresentable(p, f"component at {p} maps to {w}")
-            out[p] = e
+        for p, n, t in images:
+            q, r = divmod(n, t)
+            if n == 0:
+                out[p] = None
+            elif r == 0 and q >= 1 and p ** (e := valuation(q, p)) == q:
+                out[p] = e
+            else:
+                raise NotRepresentable(p, f"component at {p} maps to {Fraction(n, t)}")
         return ComponentwiseProfinite.of(out)
-    if default == 0 and all(w == 0 for w in images.values()):
+    if b + d == 0 and not any(n for _, n, _ in images):
         return ZERO_EVERYWHERE
-    raise NotRepresentable(None, f"default components map to {default}")
+    raise NotRepresentable(None, f"default components map to {Fraction(b + d, a + c)}")
 
 
 @dataclass(frozen=True)
@@ -295,7 +284,7 @@ EquivVerdict = Equivalent | NotEquivalent
 
 
 def _validated_witness(
-    vec: list[Fraction], z: ComponentwiseProfinite, z_target: ComponentwiseProfinite
+    vec: list[int], z: ComponentwiseProfinite, z_target: ComponentwiseProfinite
 ) -> MoebiusMatrix | None:
     a, b, c, d = vec
     try:
@@ -310,17 +299,17 @@ def _validated_witness(
 def equiv_decide(z: ComponentwiseProfinite, z_prime: ComponentwiseProfinite) -> EquivVerdict:
     """Decide whether some projective rational matrix maps z to z_prime.
 
-    Any witness can be rescaled so that a + c = 1 = b + d (the default
-    components force a + c = b + d, and a + c = 0 is impossible with finite
-    support).  Then a = 1 - c and b = 1 - d, and b + z_p*d = w_p*(a + z_p*c)
-    at a support prime p, with w_p the component of z_prime, is the line
-    d - w_p*c = (w_p - 1)/(z_p - 1) in the plane of (c, d); z_p != 1 there.
-    Lines of distinct primes coincide only when both components are 0 in z
-    and in z_prime, so for z != z_prime one distinct line means a single
-    support prime.  Its point with d = 0 (c = 0 when w_p = 0) always
-    validates.  Two distinct lines with equal w_p are parallel, hence
-    infeasible; otherwise two lines of different w_p meet in one point, which
-    must lie on every other line.  The one candidate is then validated.
+    The default components force a + c = b + d, and a + c = 0 is impossible
+    with finite support, so any witness is (s - c, s - d; c, d) for some
+    integers s, c, d.  With z = z_p and w = w_p, the components of z and
+    z_prime at a support prime p (z != 1 there), b + d*z = w*(a + c*z) is the
+    plane (1 - w)*s - w*(z - 1)*c + (z - 1)*d = 0 through the origin of
+    (s, c, d).  Planes of different w are never parallel, so the first plane
+    and the first plane of a different w meet in one line, their cross
+    product.  When every w is equal, the candidate is the first plane's point
+    (w*(z - 1), 1 - w, 0), or (z - 1, 0, -1) when w = 0, which always
+    validates for a single support prime.  The candidate must lie on every
+    other plane (one integer dot product each) and is then validated.
     """
     if z.zero_everywhere or z_prime.zero_everywhere:
         if z == z_prime:
@@ -335,24 +324,18 @@ def equiv_decide(z: ComponentwiseProfinite, z_prime: ComponentwiseProfinite) -> 
     if set(z.support) != set(z_prime.support):
         return NotEquivalent("prime-divisor-obstruction")
 
-    lines = []  # (w_p, r_p) of each distinct line d - w_p*c = r_p
-    for p in z.support:
-        wp = z_prime.value_at(p)
-        if (line := (wp, Fraction(wp - 1, z.value_at(p) - 1))) not in lines:
-            lines.append(line)
-    (w, r), *others = lines
-    if not others:
-        c, d = (-r / w, Fraction(0)) if w else (Fraction(0), r)
+    (w, m), *others = [(z_prime.value_at(p), z.value_at(p) - 1) for p in z.support]  # (w_p, z_p - 1)
+    crossing = next(((w2, m2) for w2, m2 in others if w2 != w), None)
+    if crossing:
+        w2, m2 = crossing  # the cross product of the normals (1 - w, -w*m, m) and (1 - w2, -w2*m2, m2)
+        s = (w2 - w) * m * m2
+        c = (1 - w2) * m - (1 - w) * m2
+        d = (1 - w2) * w * m - (1 - w) * w2 * m2
     else:
-        crossing = next(((w2, r2) for w2, r2 in others if w2 != w), None)
-        if crossing is None:
-            return NotEquivalent("infeasible-system")
-        w2, r2 = crossing
-        c = (r - r2) / (w2 - w)
-        d = r + w * c
-        if any(d - wq * c != rq for wq, rq in others):
-            return NotEquivalent("infeasible-system")
-    witness = _validated_witness([1 - c, 1 - d, c, d], z, z_prime)
+        s, c, d = (w * m, 1 - w, 0) if w else (m, 0, -1)
+    if any((1 - wq) * s + mq * (d - wq * c) for wq, mq in others):
+        return NotEquivalent("infeasible-system")
+    witness = _validated_witness([s - c, s - d, c, d], z, z_prime)
     return Equivalent(witness) if witness else NotEquivalent("infeasible-system")
 
 

@@ -255,6 +255,19 @@ class TestExtCommand:
         assert code == 1
         assert json.loads(out) == {"error": "Degenerate"}
 
+    @pytest.mark.parametrize(
+        "matrix, z, out, message",
+        [
+            ("2,3;0,1", "0", '{"error": "NotRepresentable"}', "all components map to 3/2"),
+            ("1,-1;0,2", "2^1", '{"error": "NotRepresentable", "prime": 2}', "component at 2 maps to 3"),
+            ("3,0;-1,2", "2^2", '{"error": "NotRepresentable", "prime": 2}', "component at 2 maps to -8"),
+            ("2,1;0,2", "2^1", '{"error": "NotRepresentable"}', "default components map to 3/2"),
+            ("1,2;0,-2", "5^1", '{"error": "NotRepresentable"}', "default components map to 0"),
+        ],
+    )
+    def test_apply_not_representable(self, capsys, matrix, z, out, message):
+        assert run(capsys, "ext", "apply", "--", matrix, z) == (1, out + "\n", f"error: NotRepresentable: {message}\n")
+
     def test_member(self, capsys):
         # "--" ends option parsing so negative rationals pass through
         code, out, _ = run(capsys, "ext", "member", "2^1", "--", "-1/3", "1/3")
@@ -289,16 +302,20 @@ class TestExtCommand:
 
 
 class TestLargePrimeLiterals:
-    # trial division kept the first two running past a 10 s timeout, and
-    # stripping 2 one factor at a time kept the third running for 28 s; each
-    # now takes well under a second, so a 5 s timeout in a fresh process
-    # catches a regression
+    # trial division kept the first two running past a 10 s timeout,
+    # stripping 2 one factor at a time kept the third running for 28 s, and
+    # the fourth took 4.3 s in Fraction arithmetic; each now takes well under
+    # a second, so a 5 s timeout in a fresh process catches a regression
     @pytest.mark.parametrize(
         "argv, expected",
         [
             (("ext", "member", "1", "--", "1/100000000000000000039", "0"), "false\n"),
             (("ext", "apply", "1,0;0,1", "1000000000000000003^1"), "1000000000000000003^1\n"),
             (("ext", "apply", "1,0;0,1", "2^300000"), "2^300000\n"),
+            (
+                ("ext", "equiv", "2^200000*3^204000*5^inf", "2^200001*3^204001*5^inf"),
+                '{"verdict": "NotEquivalent", "reason": "infeasible-system"}\n',
+            ),
         ],
     )
     def test_answers_in_time(self, argv, expected):

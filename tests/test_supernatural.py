@@ -57,6 +57,8 @@ class TestComponentwise:
         assert x.value_at(7) == 0
         assert x.value_at(3) == 1
         assert x.exponent(7) is None
+        with pytest.raises(ValueError, match="^4 is not prime$"):
+            p_infinity(4)
 
     def test_multiply(self):
         assert multiply(s_of(2), s_of(2)) == ComponentwiseProfinite.of({2: 2})
