@@ -228,10 +228,11 @@ def ball(center: BigPictureVertex, radius: int) -> PictureGraph:
     MAX_BALL_VERTICES = 400,000 (radius 726 and up for a centre of det below
     2^128) MemoryError is raised before anything is built.
     """
-    _, _, classes, edges = origin_ball(radius, 1 + embed(center).det.bit_length() // BALL_VERTEX_BITS)
+    e = embed(center)
+    _, _, classes, edges = origin_ball(radius, 1 + e.det.bit_length() // BALL_VERTEX_BITS)
     if center == _ONE:
         return PictureGraph(tuple(classes), tuple(edges))
-    g = embed(center).to_matrix()
+    g = e.to_matrix()
     moved = [primitive_decompose(hnf(m.to_matrix() @ g))[1] for m in classes]
     order = sorted(range(len(moved)), key=lambda i: (moved[i].det, moved[i].a, moved[i].b))
     classes = tuple(map(moved.__getitem__, order))

@@ -52,9 +52,9 @@ class LocalClass:
     def __post_init__(self):
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
-        if not all(isinstance(e, int) and e >= 0 for e in (self.k, self.l)):
+        if not all(type(e) is int and e >= 0 for e in (self.k, self.l)):
             raise ValueError(f"exponents must be nonnegative integers, got k={self.k!r}, l={self.l!r}")
-        if not isinstance(self.z, int) or not 0 <= self.z < self.p**self.l:
+        if type(self.z) is not int or not 0 <= self.z < self.p**self.l:
             raise ValueError(f"need 0 <= z < p^l = {self.p**self.l}, got z={self.z}")
 
     def det_valuation(self) -> int:

@@ -14,8 +14,9 @@ rational scalar, and a single scalar rescales the whole valuation profile of
 a + c*z to zero, so "a + c*z is a profinite unit" is exactly
 "no component vanishes".  Orbits of the action classify the extensions of Q
 by Z up to abstract group isomorphism, and deciding orbit membership reduces
-to intersecting integer planes through the origin in three unknowns plus
-validation of the one candidate matrix.
+to intersecting integer planes through the origin in three unknowns: a
+candidate on every plane is a witness exactly when two of its coordinates
+differ.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ class ComponentwiseProfinite:
             if p in seen:
                 raise ValueError(f"repeated prime {p}")
             seen.add(p)
-            if e is not None and (not isinstance(e, int) or e < 1):
+            if e is not None and (type(e) is not int or e < 1):
                 raise ValueError(f"exponent at {p} must be a positive integer or None, got {e!r}")
         if list(self.components) != sorted(self.components, key=lambda t: t[0]):
             raise ValueError("components must be sorted by prime")
@@ -208,9 +209,9 @@ class MoebiusMatrix(IntMatrix2):
     """
 
     def __post_init__(self):
-        vals = [Fraction(v) for v in (self.a, self.b, self.c, self.d)]
-        if vals[0] * vals[3] - vals[1] * vals[2] == 0:
-            raise Degenerate(f"ad - bc = 0 in ({vals[0]}, {vals[1]}; {vals[2]}, {vals[3]})")
+        vals = self.entries()  # ints or Fractions
+        if self.det() == 0:
+            raise Degenerate(f"ad - bc = 0 in ({self.a}, {self.b}; {self.c}, {self.d})")
         den = lcm(*(v.denominator for v in vals))
         ints = [int(v * den) for v in vals]
         g = gcd(*ints)
@@ -249,8 +250,8 @@ def moebius_apply(g: MoebiusMatrix, z: ComponentwiseProfinite) -> ComponentwiseP
     if a + c == 0:
         raise NotAUnit(None)
     images = []  # (p, b + d*z_p, a + c*z_p)
-    for p, _ in z.components:
-        zp = z.value_at(p)
+    for p, e in z.components:
+        zp = 0 if e is None else p**e
         if (t := a + c * zp) == 0:
             raise NotAUnit(p)
         images.append((p, b + d * zp, t))
@@ -283,19 +284,6 @@ class NotEquivalent:
 EquivVerdict = Equivalent | NotEquivalent
 
 
-def _validated_witness(
-    vec: list[int], z: ComponentwiseProfinite, z_target: ComponentwiseProfinite
-) -> MoebiusMatrix | None:
-    a, b, c, d = vec
-    try:
-        g = MoebiusMatrix(a, b, c, d)
-        if moebius_apply(g, z) == z_target:
-            return g
-    except (Degenerate, NotAUnit, NotRepresentable):
-        pass
-    return None
-
-
 def equiv_decide(z: ComponentwiseProfinite, z_prime: ComponentwiseProfinite) -> EquivVerdict:
     """Decide whether some projective rational matrix maps z to z_prime.
 
@@ -307,9 +295,15 @@ def equiv_decide(z: ComponentwiseProfinite, z_prime: ComponentwiseProfinite) -> 
     (s, c, d).  Planes of different w are never parallel, so the first plane
     and the first plane of a different w meet in one line, their cross
     product.  When every w is equal, the candidate is the first plane's point
-    (w*(z - 1), 1 - w, 0), or (z - 1, 0, -1) when w = 0, which always
-    validates for a single support prime.  The candidate must lie on every
-    other plane (one integer dot product each) and is then validated.
+    (w*(z - 1), 1 - w, 0), or (z - 1, 0, -1) when w = 0.  The candidate must
+    lie on every other plane (one integer dot product each).
+
+    It is then a witness exactly when c != d.  With m = z - 1 (never 0) and
+    w != 1, a + c*z = s + c*m is 0 exactly when c = d (s = -c*m turns the
+    plane into m*(d - c) = 0), and then at every prime; where it is not 0 the
+    plane makes b + d*z = w*(a + c*z), so the component maps to w.  The default
+    components map to 1 because a + c = b + d = s, and s is never 0
+    ((w2 - w)*m*m2, w*m or m), so ad - bc = s*(d - c) is not 0 either.
     """
     if z.zero_everywhere or z_prime.zero_everywhere:
         if z == z_prime:
@@ -333,10 +327,9 @@ def equiv_decide(z: ComponentwiseProfinite, z_prime: ComponentwiseProfinite) -> 
         d = (1 - w2) * w * m - (1 - w) * w2 * m2
     else:
         s, c, d = (w * m, 1 - w, 0) if w else (m, 0, -1)
-    if any((1 - wq) * s + mq * (d - wq * c) for wq, mq in others):
+    if c == d or any((1 - wq) * s + mq * (d - wq * c) for wq, mq in others):
         return NotEquivalent("infeasible-system")
-    witness = _validated_witness([s - c, s - d, c, d], z, z_prime)
-    return Equivalent(witness) if witness else NotEquivalent("infeasible-system")
+    return Equivalent(MoebiusMatrix(s - c, s - d, c, d))
 
 
 def system_determinant(p: int, k: int, u: int, q: int, r: int, v: int) -> int:

@@ -44,7 +44,7 @@ class TestLocalClassInvariants:
             LocalClass(4, 0, 0, 0)  # composite p
 
     def test_rejects_bad_exponents(self):
-        for k, l in ((-1, 0), (0, -1), (1.5, 0)):
+        for k, l in ((-1, 0), (0, -1), (1.5, 0), (True, 0)):
             with pytest.raises(ValueError):
                 LocalClass(2, k, l)
 

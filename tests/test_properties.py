@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from m2z.bigpicture import BigPictureVertex, _upper_neighbours, ball, origin_ball, parse_vertex
 from m2z.cli import main
-from m2z.errors import Degenerate, DomainError
+from m2z.errors import Degenerate, DomainError, NotAUnit, NotRepresentable
 from m2z.localposet import localize, upward_neighbors
 from m2z.matrices import (
     IntMatrix2,
@@ -43,7 +43,6 @@ from m2z.supernatural import (
     ExtMatrix,
     MoebiusMatrix,
     NotEquivalent,
-    _validated_witness,
     equiv_decide,
     ext_membership,
     moebius_apply,
@@ -447,6 +446,18 @@ def solve_rational_system(rows, rhs):
     return particular, basis
 
 
+def validated_witness(vec, z, z_target):
+    # the oracle checks its own candidates by applying them, so it does not
+    # rest on the closed form's c != d condition
+    try:
+        g = MoebiusMatrix(*vec)
+        if moebius_apply(g, z) == z_target:
+            return g
+    except (Degenerate, NotAUnit, NotRepresentable):
+        pass
+    return None
+
+
 def equiv_by_gauss_jordan(z, z_prime):
     # the decision the two-line closed form replaced, for z and z_prime of
     # equal nonempty support: the 4x4 system in (a, b, c, d) normalized by
@@ -468,7 +479,7 @@ def equiv_by_gauss_jordan(z, z_prime):
     direction = basis[0] if basis else [zero] * 4
     for i in range(len(z.support) + 3 if basis else 1):
         t = (i + 1) // 2 if i % 2 else -(i // 2)
-        witness = _validated_witness([v + t * w for v, w in zip(particular, direction)], z, z_prime)
+        witness = validated_witness([v + t * w for v, w in zip(particular, direction)], z, z_prime)
         if witness:
             return Equivalent(witness)
     return NotEquivalent("infeasible-system")

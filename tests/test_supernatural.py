@@ -74,6 +74,11 @@ class TestComponentwise:
         with pytest.raises(ValueError):
             ComponentwiseProfinite(((6, 1),))
 
+    def test_bool_exponent_rejected(self):
+        # True would print as "2^True", which parse_supernatural rejects, yet equal 2^1
+        with pytest.raises(ValueError, match="^exponent at 2 must be a positive integer or None, got True$"):
+            ComponentwiseProfinite(((2, True),))
+
     def test_literals_roundtrip(self):
         for text in ("1", "0", "2^4*5^2*7^inf", "2^1", "3^inf"):
             assert str(parse_supernatural(text)) == text
@@ -276,6 +281,19 @@ class TestEquivDecide:
             a = equiv_decide(x, y)
             b = equiv_decide(y, x)
             assert isinstance(a, Equivalent) == isinstance(b, Equivalent), (str(x), str(y))
+
+    def test_parsed_literals_are_not_retested_for_primality(self, monkeypatch):
+        calls = []
+
+        def counting_is_prime(n):
+            calls.append(n)
+            return is_prime(n)
+
+        pairs = [(s_of(12), s_of(18)), (parse_supernatural("2^1*3^inf"), parse_supernatural("2^2*3^inf"))]
+        monkeypatch.setattr("m2z.supernatural.is_prime", counting_is_prime)
+        for z, z_prime in pairs:
+            assert isinstance(equiv_decide(z, z_prime), Equivalent)
+        assert calls == []
 
     def test_witnesses_always_validate(self):
         pool = [s_of(n) for n in (2, 3, 4, 8, 9, 27, 6, 12, 18, 72)]
