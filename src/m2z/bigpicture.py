@@ -17,16 +17,17 @@ embedded centre, since the picture is homogeneous.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import cached_property
+from io import TextIOBase
 from itertools import accumulate
 from math import gcd, isqrt, lcm, prod
-from typing import Iterable, Iterator, TextIO
 
 from .errors import NotPrimitive
 from .matrices import _RATIONAL, MatrixClass, _numbers, hnf, hyper_distance, primitive_decompose
 from .primes import factor
+from .record import Frozen
 from .textout import write_chunks
 
 __all__ = [
@@ -45,20 +46,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BigPictureVertex:
+class BigPictureVertex(Frozen):
     """A vertex (M, g/h): M > 0 rational, g/h the canonical rep in [0, 1)."""
 
-    M: Fraction
-    g: int
-    h: int
+    __slots__ = ("M", "g", "h")
 
-    def __post_init__(self):
-        object.__setattr__(self, "M", Fraction(self.M))
-        if self.M <= 0:
-            raise ValueError(f"M must be positive, got {self.M}")
-        if self.h < 1 or not 0 <= self.g < self.h or gcd(self.g, self.h) != 1:
-            raise ValueError(f"need 0 <= g < h with gcd(g, h) = 1, got {self.g}/{self.h}")
+    def __init__(self, M: Fraction, g: int, h: int):
+        M = Fraction(M)
+        if M <= 0:
+            raise ValueError(f"M must be positive, got {M}")
+        if h < 1 or not 0 <= g < h or gcd(g, h) != 1:
+            raise ValueError(f"need 0 <= g < h with gcd(g, h) = 1, got {g}/{h}")
+        self._set(M, g, h)
 
     @classmethod
     def of(cls, M, r=0) -> "BigPictureVertex":
@@ -74,12 +73,13 @@ class BigPictureVertex:
         return f"M={self.M},r={self.g}/{self.h}"
 
 
-@dataclass(frozen=True)
-class PictureGraph:
+class PictureGraph(Frozen):
     """Primitive classes plus the prime-weight edges among them (i < j)."""
 
-    classes: tuple[MatrixClass, ...]
-    edges: tuple[tuple[int, int, int], ...]
+    __slots__ = ("classes", "edges", "__dict__")  # the __dict__ caches ``vertices``
+
+    def __init__(self, classes: tuple[MatrixClass, ...], edges: tuple[tuple[int, int, int], ...]):
+        self._set(classes, edges)
 
     @cached_property
     def vertices(self) -> tuple[BigPictureVertex, ...]:
@@ -268,7 +268,7 @@ def _json_parts(classes: Iterable[MatrixClass], edges: Iterable[tuple[int, int, 
     yield "]}"
 
 
-def export_dot(g: PictureGraph, out: TextIO | None = None) -> str | None:
+def export_dot(g: PictureGraph, out: TextIOBase | None = None) -> str | None:
     """Deterministic undirected DOT text; byte-identical for equal inputs.
 
     ``g`` is a PictureGraph or a pair (classes, edges) of iterables, each read
@@ -283,7 +283,7 @@ def export_dot(g: PictureGraph, out: TextIO | None = None) -> str | None:
     return None
 
 
-def export_json(g: PictureGraph, out: TextIO | None = None) -> str | None:
+def export_json(g: PictureGraph, out: TextIOBase | None = None) -> str | None:
     """JSON with vertices [{M, r, det}] (fractions as "num/den") and edges,
     with no trailing newline.
 

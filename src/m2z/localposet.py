@@ -10,13 +10,13 @@ numbers and live in ``m2z.supernatural``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from enum import Enum
-from typing import Iterator
 
 from .errors import PrimeMismatch
 from .matrices import MatrixClass
 from .primes import is_prime, valuation
+from .record import Frozen
 
 __all__ = [
     "LocalClass",
@@ -40,22 +40,19 @@ class LocalType(Enum):
     POS_POS = "PosPos"
 
 
-@dataclass(frozen=True)
-class LocalClass:
+class LocalClass(Frozen):
     """The class of (p^k, z; 0, p^l) over the p-adic integers, 0 <= z < p^l."""
 
-    p: int
-    k: int
-    l: int
-    z: int = 0
+    __slots__ = ("p", "k", "l", "z")
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if not all(type(e) is int and e >= 0 for e in (self.k, self.l)):
-            raise ValueError(f"exponents must be nonnegative integers, got k={self.k!r}, l={self.l!r}")
-        if type(self.z) is not int or not 0 <= self.z < self.p**self.l:
-            raise ValueError(f"need 0 <= z < p^l = {self.p**self.l}, got z={self.z}")
+    def __init__(self, p: int, k: int, l: int, z: int = 0):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if not all(type(e) is int and e >= 0 for e in (k, l)):
+            raise ValueError(f"exponents must be nonnegative integers, got k={k!r}, l={l!r}")
+        if type(z) is not int or not 0 <= z < p**l:
+            raise ValueError(f"need 0 <= z < p^l = {p**l}, got z={z}")
+        self._set(p, k, l, z)
 
     def det_valuation(self) -> int:
         return self.k + self.l

@@ -21,13 +21,13 @@ integers; the module is safe for unrestricted concurrent use.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, Mapping
 
 from .errors import NotDivisible, NotUnimodular, SingularMatrix
 from .primes import is_prime, valuation
+from .record import Frozen
 
 __all__ = [
     "IntMatrix2",
@@ -48,14 +48,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IntMatrix2:
+class IntMatrix2(Frozen):
     """A 2x2 integer matrix (a, b; c, d); every operation builds ``type(self)``."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: int, b: int, c: int, d: int):
+        self._set(a, b, c, d)
 
     @classmethod
     def identity(cls) -> "IntMatrix2":
@@ -88,19 +87,17 @@ class IntMatrix2:
         return f"{self.a},{self.b};{self.c},{self.d}"
 
 
-@dataclass(frozen=True, slots=True)
-class MatrixClass:
+class MatrixClass(Frozen):
     """Canonical representative [[a, b], [0, d]] of a left-GL2(Z) class."""
 
-    a: int
-    b: int
-    d: int
+    __slots__ = ("a", "b", "d")
 
-    def __post_init__(self):
-        if self.a < 1 or self.d < 1:
-            raise ValueError(f"diagonal must be positive, got a={self.a}, d={self.d}")
-        if not 0 <= self.b < self.d:
-            raise ValueError(f"need 0 <= b < d, got b={self.b}, d={self.d}")
+    def __init__(self, a: int, b: int, d: int):
+        if a < 1 or d < 1:
+            raise ValueError(f"diagonal must be positive, got a={a}, d={d}")
+        if not 0 <= b < d:
+            raise ValueError(f"need 0 <= b < d, got b={b}, d={d}")
+        self._set(a, b, d)
 
     @property
     def det(self) -> int:
@@ -263,24 +260,26 @@ def hyper_distance(x: MatrixClass, y: MatrixClass) -> int:
     return x.det * y.det // meet(x, y).det ** 2
 
 
-@dataclass(frozen=True)
-class CharacterSpec:
+class CharacterSpec(Frozen):
     """A character chi: Q^x -> {1, -1}, determined by chi(-1) and chi(p).
 
-    Primes absent from ``sign_at_prime`` have chi(p) = +1.
+    Primes absent from ``sign_at_prime`` (a new empty dict by default) have
+    chi(p) = +1.
     """
 
-    sign_at_minus_one: int = 1
-    sign_at_prime: Mapping[int, int] = field(default_factory=dict)
+    __slots__ = ("sign_at_minus_one", "sign_at_prime")
 
-    def __post_init__(self):
-        if self.sign_at_minus_one not in (1, -1):
+    def __init__(self, sign_at_minus_one: int = 1, sign_at_prime: Mapping[int, int] | None = None):
+        if sign_at_prime is None:
+            sign_at_prime = {}
+        if sign_at_minus_one not in (1, -1):
             raise ValueError("chi(-1) must be +1 or -1")
-        for p, s in self.sign_at_prime.items():
+        for p, s in sign_at_prime.items():
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
             if s not in (1, -1):
                 raise ValueError(f"chi({p}) must be +1 or -1")
+        self._set(sign_at_minus_one, sign_at_prime)
 
     def value(self, r: int | Fraction) -> int:
         if r == 0:

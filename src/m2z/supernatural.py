@@ -22,7 +22,6 @@ differ.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, lcm, log2, prod
@@ -31,6 +30,7 @@ from operator import itemgetter
 from .errors import Degenerate, NotAUnit, NotRepresentable
 from .matrices import _DIGITS, _MATRIX, _RATIONAL, IntMatrix2, _numbers
 from .primes import factor, is_prime, valuation
+from .record import Frozen, restore
 
 __all__ = [
     "ComponentwiseProfinite",
@@ -58,8 +58,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ComponentwiseProfinite:
+class ComponentwiseProfinite(Frozen):
     """A profinite integer given prime by prime.
 
     ``components`` maps finitely many primes to an exponent: an int e >= 1
@@ -76,14 +75,13 @@ class ComponentwiseProfinite:
     every n != 0 except on the all-zero element.
     """
 
-    components: tuple[tuple[int, int | None], ...] = ()
-    zero_everywhere: bool = False
+    __slots__ = ("components", "zero_everywhere")
 
-    def __post_init__(self):
-        if self.zero_everywhere and self.components:
+    def __init__(self, components: tuple[tuple[int, int | None], ...] = (), zero_everywhere: bool = False):
+        if zero_everywhere and components:
             raise ValueError("the all-zero element carries no component map")
         seen = set()
-        for p, e in self.components:
+        for p, e in components:
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
             if p in seen:
@@ -91,14 +89,21 @@ class ComponentwiseProfinite:
             seen.add(p)
             if e is not None and (type(e) is not int or e < 1):
                 raise ValueError(f"exponent at {p} must be a positive integer or None, got {e!r}")
-        if list(self.components) != sorted(self.components, key=lambda t: t[0]):
+        if list(components) != sorted(components, key=lambda t: t[0]):
             raise ValueError("components must be sorted by prime")
+        self._set(components, zero_everywhere)
 
     @classmethod
     def of(cls, mapping: dict[int, int | None]) -> "ComponentwiseProfinite":
         """Build from {prime: exponent-or-None}; exponent 0 entries drop out."""
         comps = tuple(sorted((p, e) for p, e in mapping.items() if e != 0))
         return cls(comps)
+
+    @classmethod
+    def _of_known_primes(cls, mapping: dict[int, int | None]) -> "ComponentwiseProfinite":
+        """``of`` for a mapping whose keys are primes of validated elements and
+        whose values are valid exponents or 0: no prime is tested again."""
+        return restore(cls, (tuple(sorted((p, e) for p, e in mapping.items() if e != 0)), False))
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -162,7 +167,7 @@ def multiply(x: ComponentwiseProfinite, y: ComponentwiseProfinite) -> Componentw
             out[p] = None
         else:
             out[p] += e
-    return ComponentwiseProfinite.of(out)
+    return ComponentwiseProfinite._of_known_primes(out)
 
 
 # Guards checked before a literal's bases are tested or raised to a power
@@ -198,7 +203,6 @@ def parse_supernatural(text: str) -> ComponentwiseProfinite:
     return ComponentwiseProfinite.of(comps)
 
 
-@dataclass(frozen=True)
 class MoebiusMatrix(IntMatrix2):
     """A projective rational 2x2 matrix (a, b; c, d) with ad - bc != 0.
 
@@ -208,10 +212,12 @@ class MoebiusMatrix(IntMatrix2):
     normalized on construction.
     """
 
-    def __post_init__(self):
-        vals = self.entries()  # ints or Fractions
-        if self.det() == 0:
-            raise Degenerate(f"ad - bc = 0 in ({self.a}, {self.b}; {self.c}, {self.d})")
+    __slots__ = ()
+
+    def __init__(self, a: int | Fraction, b: int | Fraction, c: int | Fraction, d: int | Fraction):
+        vals = (a, b, c, d)
+        if a * d - b * c == 0:
+            raise Degenerate(f"ad - bc = 0 in ({a}, {b}; {c}, {d})")
         den = lcm(*(v.denominator for v in vals))
         ints = [int(v * den) for v in vals]
         g = gcd(*ints)
@@ -219,8 +225,7 @@ class MoebiusMatrix(IntMatrix2):
         first = next(i for i in ints if i)
         if first < 0:
             ints = [-i for i in ints]
-        for name, value in zip(("a", "b", "c", "d"), ints):
-            object.__setattr__(self, name, value)
+        super().__init__(*ints)
 
 
 def parse_moebius(text: str) -> MoebiusMatrix:
@@ -265,20 +270,24 @@ def moebius_apply(g: MoebiusMatrix, z: ComponentwiseProfinite) -> ComponentwiseP
                 out[p] = e
             else:
                 raise NotRepresentable(p, f"component at {p} maps to {Fraction(n, t)}")
-        return ComponentwiseProfinite.of(out)
+        return ComponentwiseProfinite._of_known_primes(out)
     if b + d == 0 and not any(n for _, n, _ in images):
         return ZERO_EVERYWHERE
     raise NotRepresentable(None, f"default components map to {Fraction(b + d, a + c)}")
 
 
-@dataclass(frozen=True)
-class Equivalent:
-    witness: MoebiusMatrix
+class Equivalent(Frozen):
+    __slots__ = ("witness",)
+
+    def __init__(self, witness: MoebiusMatrix):
+        self._set(witness)
 
 
-@dataclass(frozen=True)
-class NotEquivalent:
-    reason: str  # "infeasible-system" or "prime-divisor-obstruction"
+class NotEquivalent(Frozen):
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str):  # "infeasible-system" or "prime-divisor-obstruction"
+        self._set(reason)
 
 
 EquivVerdict = Equivalent | NotEquivalent
@@ -355,13 +364,13 @@ def prime_power_witness(p: int, k: int, u: int) -> MoebiusMatrix:
     return MoebiusMatrix(p**k - 1, p**k - p**u, 0, p**u - 1)
 
 
-@dataclass(frozen=True)
-class ExtMatrix:
+class ExtMatrix(Frozen):
     """The profinite Hermite form (s, z; 0, s') of a subgroup datum."""
 
-    s: ComponentwiseProfinite
-    z: ComponentwiseProfinite
-    s_prime: ComponentwiseProfinite
+    __slots__ = ("s", "z", "s_prime")
+
+    def __init__(self, s: ComponentwiseProfinite, z: ComponentwiseProfinite, s_prime: ComponentwiseProfinite):
+        self._set(s, z, s_prime)
 
 
 def is_extension(x: ExtMatrix) -> bool:

@@ -7,15 +7,16 @@ string: memory stays in proportion to the chunk, not to the answer.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+from io import TextIOBase
 from itertools import islice
-from typing import Iterable, TextIO
 
 __all__ = ["CHUNK_PARTS", "write_chunks"]
 
 CHUNK_PARTS = 1 << 10
 
 
-def write_chunks(out: TextIO, parts: Iterable[str]) -> None:
+def write_chunks(out: TextIOBase, parts: Iterable[str]) -> None:
     """Write the concatenation of ``parts`` to ``out``, CHUNK_PARTS per write."""
     parts = iter(parts)
     while chunk := list(islice(parts, CHUNK_PARTS)):

@@ -17,13 +17,13 @@ still a sum over the canonical representatives of its determinant, in about
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from math import gcd, isqrt
 from operator import add
 
 from .errors import LengthMismatch
 from .primes import primes_up_to
+from .record import Frozen
 
 __all__ = [
     "FULL_MONOID",
@@ -44,12 +44,13 @@ BIG_PICTURE = "BigPicture"
 AX_PLUS_B = "AxPlusB"
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
+class CoefficientTable(Frozen):
     """Coefficients c(1..N) of a Dirichlet series; coeffs[0] is unused (0)."""
 
-    which: str
-    coeffs: tuple[int, ...]
+    __slots__ = ("which", "coeffs")
+
+    def __init__(self, which: str, coeffs: tuple[int, ...]):
+        self._set(which, coeffs)
 
     @property
     def n_max(self) -> int:

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -56,7 +55,7 @@ def random_class(rng, max_det=60):
 class TestMatrixClass:
     def test_frozen(self):
         m = MatrixClass(2, 1, 3)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             m.b = 2
         assert m == MatrixClass(2, 1, 3)
 

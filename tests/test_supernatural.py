@@ -204,6 +204,24 @@ class TestMoebiusApply:
         assert moebius_apply(MoebiusMatrix(1, -1, 0, 1), ONE) == ZERO_EVERYWHERE
         assert moebius_apply(MoebiusMatrix(1, 1, 0, 1), ZERO_EVERYWHERE) == ONE
 
+    def test_image_primes_are_not_retested(self, monkeypatch):
+        # every prime of the image is a prime of z, tested when z was built
+        calls = []
+
+        def counting_is_prime(n):
+            calls.append(n)
+            return is_prime(n)
+
+        cases = [
+            (MoebiusMatrix.identity(), parse_supernatural("2^1*3^inf*1000000000000000003^2")),
+            (MoebiusMatrix(31, 0, -1, 30), multiply(s_of(400), p_infinity(3))),
+            (MoebiusMatrix(3, 6, -2, -5), s_of(6)),
+        ]
+        monkeypatch.setattr("m2z.supernatural.is_prime", counting_is_prime)
+        images = [moebius_apply(g, z) for g, z in cases]
+        assert calls == []
+        assert images == [cases[0][1], multiply(s_of(4000), p_infinity(3)), s_of(12)]
+
 
 def _random_degenerate_free(rng):
     while True:
