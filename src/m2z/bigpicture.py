@@ -25,8 +25,8 @@ from itertools import accumulate
 from math import gcd, isqrt, lcm, prod
 
 from .errors import NotPrimitive
-from .matrices import _RATIONAL, MatrixClass, _numbers, hnf, hyper_distance, primitive_decompose
-from .primes import factor
+from .matrices import _RATIONAL, MatrixClass, _numbers, divides, hnf, hyper_distance, primitive_decompose
+from .primes import factor, primes_up_to
 from .record import Frozen
 from .textout import write_chunks
 
@@ -127,12 +127,15 @@ def delta_direct(x: BigPictureVertex, y: BigPictureVertex) -> int:
     return int(det)
 
 
-_ONE = BigPictureVertex(Fraction(1), 0, 1)
-
-
 def bp_leq(x: BigPictureVertex, y: BigPictureVertex) -> bool:
-    """The picture order: delta(1, y) = delta(x, y) * delta(1, x)."""
-    return delta(_ONE, y) == delta(x, y) * delta(_ONE, x)
+    """The picture order: delta(1, y) = delta(x, y) * delta(1, x).
+
+    delta(1, v) = det embed(v), as embed(1) is the identity class, and
+    delta(x, y) = det embed(x) * det embed(y) / det(w)^2 for the meet w of the
+    embeddings.  So the identity says det w = det embed(x); as w divides
+    embed(x), that is w = embed(x), i.e. embed(x) divides embed(y).
+    """
+    return divides(embed(x), embed(y))
 
 
 # At radius 725 (399,490 vertices) ``m2z ball`` peaked at 18 MB RSS around the
@@ -176,7 +179,7 @@ def origin_ball(radius: int, weight: int = 1) -> tuple[int, int, Iterator[Matrix
     psi = [n // prod(ps) * prod(p + 1 for p in ps) for n, ps in enumerate(primes, 1)]
     if sum(psi) > limit:
         raise too_large
-    small = [n for n, ps in enumerate(primes, 1) if ps == [n]]
+    small = primes_up_to(radius)
     # units_below[c][s] = #{r < s : gcd(r, c) = 1}, so units_below[c][c] = phi(c)
     units_below = [
         list(accumulate((gcd(r, c) == 1 for r in range(c)), initial=0)) for c in range(isqrt(radius) + 1)
@@ -230,7 +233,7 @@ def ball(center: BigPictureVertex, radius: int) -> PictureGraph:
     """
     e = embed(center)
     _, _, classes, edges = origin_ball(radius, 1 + e.det.bit_length() // BALL_VERTEX_BITS)
-    if center == _ONE:
+    if e.det == 1:  # the origin
         return PictureGraph(tuple(classes), tuple(edges))
     g = e.to_matrix()
     moved = [primitive_decompose(hnf(m.to_matrix() @ g))[1] for m in classes]

@@ -230,7 +230,7 @@ def main(argv=None) -> int:
     sys.set_int_max_str_digits(0)  # argv bounds the literals; an answer may have more than 4,300 digits
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:

@@ -12,7 +12,8 @@ plain field equality.  On top of the canonical form this module provides the
 divisibility order (x <= y when y = m*x for an integer matrix m), its meet
 and join, the level/niveau invariants, the unique scalar-times-primitive
 decomposition, the multiplicative hyper-distance, and the determinant-twisted
-conjugation automorphisms.
+conjugation automorphisms.  hnf, meet and join are closed forms: Bezout on
+the first column, and the Chinese remainder theorem for join.
 
 All values are immutable, all operations are pure functions on unbounded
 integers; the module is safe for unrestricted concurrent use.
@@ -23,7 +24,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import NotDivisible, NotUnimodular, SingularMatrix
 from .primes import is_prime, valuation
@@ -112,9 +113,6 @@ class MatrixClass(Frozen):
     def is_primitive(self) -> bool:
         return self.content == 1
 
-    def rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return ((self.a, self.b), (0, self.d))
-
     def to_matrix(self) -> IntMatrix2:
         return IntMatrix2(self.a, self.b, 0, self.d)
 
@@ -137,43 +135,19 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-def _hnf_rows(rows) -> tuple[int, int, int]:
-    """Canonical (a, b, d) of the full-rank row lattice spanned by ``rows``.
-
-    Folds each row into two pivot rows (a, b) and (0, d) by unimodular
-    operations, then normalizes signs and reduces b mod d.
-    """
-    a = b = d = 0
-    for x, y in rows:
-        if x:
-            if a == 0:
-                a, b = x, y
-                y = 0
-            else:
-                g, s, t = _xgcd(a, x)
-                # new pivot s*(a,b) + t*(x,y); the leftover combination
-                # (a/g)*(x,y) - (x/g)*(a,b) has first entry 0
-                leftover = (a // g) * y - (x // g) * b
-                a, b = g, s * b + t * y
-                y = leftover
-        if y:
-            d = gcd(d, y)
-    if a == 0 or d == 0:
-        raise SingularMatrix("rows do not span a rank-2 lattice")
-    if a < 0:
-        a, b = -a, -b
-    b %= d
-    return a, b, d
-
-
 def hnf(m: IntMatrix2) -> MatrixClass:
-    """The canonical class representative of a nonsingular integer matrix.
+    """The canonical class representative of a nonsingular integer matrix;
+    SingularMatrix is raised when det(m) = 0.
 
-    Raises SingularMatrix when det(m) = 0.
+    Bezout on the first column: with g = gcd(a, c) = s*a + t*c, the unimodular
+    row operation (s, t; -c/g, a/g) gives (g, s*b + t*d; 0, det/g); a positive
+    second row and b reduced mod D = |det|/g give (g, (s*b + t*d) mod D; 0, D).
     """
-    if m.det() == 0:
+    if (det := m.det()) == 0:
         raise SingularMatrix(f"det({m}) = 0")
-    return MatrixClass(*_hnf_rows(m.rows()))
+    g, s, t = _xgcd(m.a, m.c)
+    d = abs(det) // g
+    return MatrixClass(g, (s * m.b + t * m.d) % d, d)
 
 
 def divides(x: MatrixClass, y: MatrixClass) -> bool:
@@ -200,39 +174,36 @@ def quotient(x: MatrixClass, y: MatrixClass) -> IntMatrix2:
 
 
 def meet(x: MatrixClass, y: MatrixClass) -> MatrixClass:
-    """Greatest lower bound: the class of the row-lattice sum L_x + L_y."""
-    return MatrixClass(*_hnf_rows(x.rows() + y.rows()))
+    """Greatest lower bound: the class of the row-lattice sum L_x + L_y.
 
-
-def _exact_div(n: int, d: int) -> int:
-    q, r = divmod(n, d)
-    if r:
-        raise ArithmeticError(f"non-exact division {n}/{d} in lattice duality")
-    return q
+    It is spanned by (a_x, b_x), (a_y, b_y), (0, d_x) and (0, d_y).  With
+    g = gcd(a_x, a_y) = s*a_x + t*a_y, the first two fold as in ``hnf`` into
+    (g, s*b_x + t*b_y) and (0, e) for e = (a_x*b_y - a_y*b_x)/g, so the sum
+    is (g, (s*b_x + t*b_y) mod d; 0, d) with d = gcd(d_x, d_y, e).
+    """
+    g, s, t = _xgcd(x.a, y.a)
+    d = gcd(x.d, y.d, (x.a * y.b - y.a * x.b) // g)
+    return MatrixClass(g, (s * x.b + t * y.b) % d, d)
 
 
 def join(x: MatrixClass, y: MatrixClass) -> MatrixClass:
     """Least upper bound: the class of the row-lattice intersection.
 
-    Computed by duality: the dual of the row lattice of X is spanned by the
-    rows of adj(X)^T / det(X), the dual of an intersection is the sum of the
-    duals, and integral lattices come back integral after dualizing twice.
+    (u, v) lies in L_x iff a_x | u and v = (u/a_x)*b_x (mod d_x).  So u in
+    the intersection is k*A for A = lcm(a_x, a_y), and v must solve
+    v = k*b'_x (mod d_x) and v = k*b'_y (mod d_y), where b'_x = (A/a_x)*b_x
+    and b'_y = (A/a_y)*b_y.  By the Chinese remainder theorem some v does iff
+    g = gcd(d_x, d_y) divides k*(b'_x - b'_y), i.e. iff t divides k for
+    t = g / gcd(g, b'_x - b'_y).  For k = t the v form one class b mod
+    d = lcm(d_x, d_y), and j*b serves k = j*t: the intersection is (t*A, b; 0, d).
     """
-    dx, dy = x.det, y.det
-    dual_rows = [
-        (dy * x.d, 0),
-        (-dy * x.b, dy * x.a),
-        (dx * y.d, 0),
-        (-dx * y.b, dx * y.a),
-    ]
-    sa, sb, sd = _hnf_rows(dual_rows)
-    ds = sa * sd
-    scale = dx * dy
-    w_rows = [
-        (_exact_div(scale * sd, ds), 0),
-        (_exact_div(-scale * sb, ds), _exact_div(scale * sa, ds)),
-    ]
-    return MatrixClass(*_hnf_rows(w_rows))
+    a = lcm(x.a, y.a)
+    bx, by = a // x.a * x.b, a // y.a * y.b
+    g = gcd(x.d, y.d)
+    t = g // gcd(g, bx - by)
+    d = x.d // g * y.d
+    b = t * bx + x.d * (t * (by - bx) // g * pow(x.d // g, -1, y.d // g))  # g divides t*(by - bx)
+    return MatrixClass(t * a, b % d, d)
 
 
 def level(m: MatrixClass, p: int) -> int:
@@ -315,12 +286,12 @@ def classes_with_det(n: int) -> Iterator[MatrixClass]:
 
 
 # The number grammar of every literal: ASCII digits after an optional sign,
-# and in a rational one "/" before more digits.  A literal's pattern puts one
-# \s* where whitespace may stand, never two in a row, so a failed match stays
-# linear; no decimal point, exponent, "_" or non-ASCII digit reaches int().
+# and in a rational "/" before digits not all zero.  A literal's pattern puts
+# one \s* where whitespace may stand, never two in a row, so a failed match
+# stays linear; no decimal point, exponent, "_" or non-ASCII digit reaches int().
 _DIGITS = "[0-9]+"
 _INTEGER = f"([+-]?{_DIGITS})"
-_RATIONAL = rf"([+-]?{_DIGITS}(?:\s*/\s*{_DIGITS})?)"
+_RATIONAL = rf"([+-]?{_DIGITS}(?:\s*/\s*0*[1-9][0-9]*)?)"
 _MATRIX = r"\s*{0}\s*,\s*{0}\s*;\s*{0}\s*,\s*{0}\s*"  # "a,b;c,d"; .format() puts in the entry
 
 

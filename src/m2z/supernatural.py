@@ -324,7 +324,7 @@ def equiv_decide(z: ComponentwiseProfinite, z_prime: ComponentwiseProfinite) -> 
         return NotEquivalent("prime-divisor-obstruction")
     if z == z_prime:
         return Equivalent(MoebiusMatrix.identity())
-    if set(z.support) != set(z_prime.support):
+    if z.support != z_prime.support:  # both sorted by prime
         return NotEquivalent("prime-divisor-obstruction")
 
     (w, m), *others = [(z_prime.value_at(p), z.value_at(p) - 1) for p in z.support]  # (w_p, z_p - 1)

@@ -18,7 +18,7 @@ from m2z.bigpicture import (
     PictureGraph,
 )
 from m2z.errors import NotPrimitive
-from m2z.matrices import MatrixClass, classes_with_det, divides, hyper_distance
+from m2z.matrices import MatrixClass, classes_with_det, hyper_distance
 from m2z.primes import is_prime
 
 ONE = BigPictureVertex.of(1)
@@ -127,11 +127,12 @@ class TestOrder:
         assert not bp_leq(BigPictureVertex.of(2), BigPictureVertex.of(Fraction(1, 2)))
 
     def test_agrees_with_divisibility_small(self):
-        g = ball(ONE, 12)
-        embeds = [embed(v) for v in g.vertices]
-        for i, x in enumerate(embeds):
-            for j, y in enumerate(embeds):
-                assert bp_leq(g.vertices[i], g.vertices[j]) == divides(x, y)
+        # bp_leq tests divisibility of the embeddings; the order is defined by
+        # the distance identity delta(1, y) = delta(x, y) * delta(1, x)
+        vs = ball(ONE, 12).vertices
+        for x in vs:
+            for y in vs:
+                assert bp_leq(x, y) == (delta(ONE, y) == delta(x, y) * delta(ONE, x))
 
 
 class TestBall:

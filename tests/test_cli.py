@@ -4,6 +4,7 @@ import resource
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -491,6 +492,39 @@ def test_removed_number_form_is_a_parse_error(argv):
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr.startswith("parse error:")
     assert result.stderr.count("\n") == 1
+
+
+# A zero denominator is outside the grammar: the message names the form and
+# the literal, as for any other bad literal (it was "Fraction(1, 0)").
+@pytest.mark.parametrize(
+    "argv, form, literal",
+    [
+        (("dist", "M=1/0,r=0", "M=1,r=0"), '"M=num/den,r=g/h"', "M=1/0,r=0"),
+        (("dist", "M=1,r=0", "M=2,r=1/ 000"), '"M=num/den,r=g/h"', "M=2,r=1/ 000"),
+        (("ext", "apply", "1,0;0,1/0", "2^1"), '"a,b;c,d" with entries num/den', "1,0;0,1/0"),
+        (("ext", "member", "2^1", "1/0", "1/3"), "a rational num/den", "1/0"),
+        (("ext", "member", "2^1", "--", "1/3", "-7/00"), "a rational num/den", "-7/00"),
+    ],
+)
+def test_zero_denominator_is_a_parse_error(capsys, argv, form, literal):
+    assert run(capsys, *argv) == (2, "", f"parse error: expected {form}, got {literal!r}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dist", "M=1/" + "0" * 10**6 + ",r=0", "M=1,r=0"),
+        ("ext", "apply", "1,0;0,1/" + "0" * 10**6, "2^1"),
+        ("ext", "member", "2^1", "1/" + "0" * 10**6, "1/3"),
+    ],
+)
+def test_long_zero_denominator_is_refused_in_linear_time(capsys, argv):
+    # 10^6 zeros: a quadratic match would run for minutes
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: expected ") and err.count("\n") == 1
 
 
 # Unguarded, each of these ran for 14 s to over a minute: Fraction expanded the

@@ -8,7 +8,6 @@ from m2z.matrices import (
     CharacterSpec,
     IntMatrix2,
     MatrixClass,
-    _exact_div,
     apply_automorphism,
     classes_with_det,
     divides,
@@ -199,13 +198,6 @@ class TestMeetJoin:
         assert meet(MatrixClass(2, 0, 1), MatrixClass(1, 0, 2)) == I
         assert meet(MatrixClass(4, 0, 1), MatrixClass(2, 0, 1)) == MatrixClass(2, 0, 1)
         assert join(MatrixClass(2, 0, 1), MatrixClass(1, 0, 2)) == MatrixClass(2, 0, 2)
-
-    def test_exact_div_raises_on_a_remainder(self):
-        # join's duality step divides exactly; a remainder is a real error,
-        # also under python -O
-        assert _exact_div(8, 2) == 4
-        with pytest.raises(ArithmeticError):
-            _exact_div(7, 2)
 
     def test_join_idempotent(self):
         rng = random.Random(66)

@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
 from operator import matmul
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -325,6 +325,50 @@ def test_origin_ball_counts_are_its_stream_lengths(radius):
     assert (vertices, edges) == (len(list(classes)), len(list(edge_stream)))
 
 
+# hnf, meet and join against the definitions of their lattices: (u, v) lies
+# in the row lattice of (a, b; 0, d) iff a | u and d | v - (u/a)*b
+
+
+def in_lattice(c: MatrixClass, u: int, v: int) -> bool:
+    return u % c.a == 0 and (v - u // c.a * c.b) % c.d == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(nonsingular)
+def test_hnf_spans_the_row_lattice(m):
+    # both rows lie in L_h, and the equal index makes L_h the whole row lattice
+    h = hnf(m)
+    assert all(in_lattice(h, x, y) for x, y in m.rows())
+    assert h.det == abs(m.det())
+
+
+small_classes = st.builds(lambda a, d, b: MatrixClass(a, b % d, d), st.integers(1, 6), st.integers(1, 6), st.integers(0, 5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_classes, small_classes)
+def test_join_is_the_intersection_on_a_box(x, y):
+    # membership repeats with period lcm(d_x, d_y) in v; the first entry of
+    # the join divides lcm(a_x, a_y) * lcm(d_x, d_y), so the box holds it
+    j = join(x, y)
+    period = lcm(x.d, y.d)
+    for u in range(-lcm(x.a, y.a) * period, lcm(x.a, y.a) * period + 1):
+        for v in range(period):
+            assert in_lattice(j, u, v) == (in_lattice(x, u, v) and in_lattice(y, u, v)), (u, v)
+
+
+huge = st.integers(1, 2**200)
+huge_classes = st.builds(lambda a, d, b: MatrixClass(a, b % d, d), huge, huge, st.integers(0, 2**200))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(classes, classes), st.tuples(huge_classes, huge_classes)))
+def test_meet_and_join_determinants_multiply_to_the_product(pair):
+    # [Z^2 : L_x + L_y] * [Z^2 : L_x & L_y] = [Z^2 : L_x] * [Z^2 : L_y]
+    x, y = pair
+    assert meet(x, y).det * join(x, y).det == x.det * y.det
+
+
 @settings(max_examples=300, deadline=None)
 @given(unimodular, small_nonsingular)
 def test_hnf_invariant_under_gl2z(u, m):
@@ -512,15 +556,18 @@ def test_local_invariants_match_the_global_ones(x, p):
 
 # the CLI contract over a small argv grammar: every call ends in exit 0, 1 or
 # 2, exit 0 writes the format its subcommand claims, and a literal outside the
-# number grammar (ASCII digits, an optional sign, one "/" in a rational) is one
-# "parse error:" line
+# number grammar (ASCII digits, an optional sign, one "/" in a rational before
+# a nonzero denominator) is one "parse error:" line
 
 # 10^3000 - 1 makes answers longer than int()'s default 4,300-digit str cap
 boundary_integers = st.sampled_from([8191, 10**30, -(10**30), 1000000000000000003, 10**3000 - 1])
 integer_tokens = st.one_of(st.integers(-40, 40), boundary_integers).map(str)
-rational_tokens = st.one_of(integer_tokens, st.builds("{}/{}".format, integer_tokens, st.integers(0, 30)))
-# the removed forms first: decimals, exponents, "_" and non-ASCII digits
-bad_numbers = st.sampled_from(["0.5", "1e3", "1_000", "٣", "1.", "½", "0x10", "inf", "", "x", "1/", "/2", "1/-2", "--1"])
+rational_tokens = st.one_of(integer_tokens, st.builds("{}/{}".format, integer_tokens, st.integers(1, 30)))
+# the removed forms first: decimals, exponents, "_", non-ASCII digits and
+# zero denominators
+bad_numbers = st.sampled_from(
+    ["0.5", "1e3", "1_000", "٣", "1/0", "-2/000", "1.", "½", "0x10", "inf", "", "x", "1/", "/2", "1/-2", "--1"]
+)
 bad_integers = st.one_of(bad_numbers, st.sampled_from(["1/2", "3/1"]))
 primes_and_not = st.sampled_from([2, 3, 5, 7, 11, 4, 1, 0, 1000000000000000003]).map(str)
 exponents = st.one_of(st.integers(0, 6).map(str), st.sampled_from(["inf", "10000000"]))
