@@ -21,11 +21,12 @@ from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import cached_property
 from io import TextIOBase
-from itertools import accumulate
+from itertools import accumulate, starmap
 from math import gcd, isqrt, lcm, prod
+from operator import attrgetter
 
 from .errors import NotPrimitive
-from .matrices import _RATIONAL, MatrixClass, _numbers, divides, hnf, hyper_distance, primitive_decompose
+from .matrices import _RATIONAL, IntMatrix2, MatrixClass, _numbers, divides, hnf, hyper_distance, primitive_decompose
 from .primes import factor, primes_up_to
 from .record import Frozen
 from .textout import write_chunks
@@ -85,8 +86,8 @@ class PictureGraph(Frozen):
     def vertices(self) -> tuple[BigPictureVertex, ...]:
         return tuple(unembed(m) for m in self.classes)
 
-    def __iter__(self) -> Iterator:  # unpacks as (classes, edges), the pair the exporters read
-        return iter((self.classes, self.edges))
+    def __iter__(self) -> Iterator:  # unpacks as (triples, edges), the pair the exporters read
+        return iter((map(attrgetter("a", "b", "d"), self.classes), self.edges))
 
 
 def embed(x: BigPictureVertex) -> MatrixClass:
@@ -157,17 +158,21 @@ def _upper_neighbours(a: int, b: int, d: int, p: int) -> list[tuple[int, int, in
     return lifts + [(p * a, b * p % d, d)] if d % p else lifts
 
 
-def origin_ball(radius: int, weight: int = 1) -> tuple[int, int, Iterator[MatrixClass], Iterator[tuple[int, int, int]]]:
+def origin_ball(
+    radius: int, weight: int = 1
+) -> tuple[int, int, Iterator[tuple[int, int, int]], Iterator[tuple[int, int, int]]]:
     """The ball of ``radius`` around the origin, streamed: its numbers of
-    vertices and of edges, then one-pass iterators of its classes and of its
-    edges, as ``ball`` orders them.  The size guard of ``ball``, each vertex
-    weighing ``weight``, runs first; only O(R log R) numbers are held.
+    vertices and of edges, then one-pass iterators of its classes, as canonical
+    triples (a, b, d), and of its edges (i, j, p), as ``ball`` orders them.
+    The size guard of ``ball``, each vertex weighing ``weight``, runs first;
+    only O(R log R) numbers are held.
 
     Vertex i's edges go to its upper neighbours of det <= R, prime by prime.
     The classes with diagonal (a, d) form a block from start[a, d], in which b
     runs through the b in [0, d) coprime to c = gcd(a, d); so b sits at
     start[a, d] + (b // c) * phi(c) + #{r < b mod c : gcd(r, c) = 1}, read
-    from a table per c (c^2 | ad, so c <= isqrt(R)).
+    from a table per c (c^2 | ad, so c <= isqrt(R)).  If gcd(a, p*d) = 1, every
+    lift (a, b + k*d; 0, p*d) is primitive and sits at start[a, p*d] + b + k*d.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
@@ -205,11 +210,18 @@ def origin_ball(radius: int, weight: int = 1) -> tuple[int, int, Iterator[Matrix
             for p in small:
                 if p * a * d > radius:
                     break
-                for w in _upper_neighbours(a, b, d, p):
-                    yield i, index(*w), p
+                if gcd(a, p * d) == 1:  # every lift is primitive
+                    first = start[a, p * d] + b
+                    for j in range(first, first + p * d, d):
+                        yield i, j, p
+                    if d % p:
+                        yield i, index(p * a, b * p % d, d), p
+                else:
+                    for w in _upper_neighbours(a, b, d, p):
+                        yield i, index(*w), p
 
     degrees = sum(k * len(ps) for k, ps in zip(psi, primes))  # each vertex has one edge down per prime of det
-    return sum(psi), degrees, (MatrixClass(*m) for m in members()), edges()
+    return sum(psi), degrees, members(), edges()
 
 
 def ball(center: BigPictureVertex, radius: int) -> PictureGraph:
@@ -232,11 +244,11 @@ def ball(center: BigPictureVertex, radius: int) -> PictureGraph:
     2^128) MemoryError is raised before anything is built.
     """
     e = embed(center)
-    _, _, classes, edges = origin_ball(radius, 1 + e.det.bit_length() // BALL_VERTEX_BITS)
+    _, _, triples, edges = origin_ball(radius, 1 + e.det.bit_length() // BALL_VERTEX_BITS)
     if e.det == 1:  # the origin
-        return PictureGraph(tuple(classes), tuple(edges))
+        return PictureGraph(tuple(starmap(MatrixClass, triples)), tuple(edges))
     g = e.to_matrix()
-    moved = [primitive_decompose(hnf(m.to_matrix() @ g))[1] for m in classes]
+    moved = [primitive_decompose(hnf(IntMatrix2(a, b, 0, d) @ g))[1] for a, b, d in triples]
     order = sorted(range(len(moved)), key=lambda i: (moved[i].det, moved[i].a, moved[i].b))
     classes = tuple(map(moved.__getitem__, order))
     rank = [0] * len(order)
@@ -252,19 +264,29 @@ def _ratio(num: int, den: int) -> str:
     return f"{num // g}/{den // g}"
 
 
-def _dot_parts(classes: Iterable[MatrixClass], edges: Iterable[tuple[int, int, int]]) -> Iterator[str]:
+def _dot_parts(triples: Iterable[tuple[int, int, int]], edges: Iterable[tuple[int, int, int]]) -> Iterator[str]:
     yield "graph picture {\n"
-    for i, m in enumerate(classes):
-        yield f'  n{i} [label="M={_ratio(m.a, m.d).removesuffix("/1")} r={_ratio(m.b, m.d)}", det={m.det}];\n'
+    block = None
+    for i, (a, b, d) in enumerate(triples):
+        if block != (a, d):  # M = a/d and det = a*d are shared by the (a, d) block: one text each
+            block = a, d
+            head, tail = f'M={_ratio(a, d).removesuffix("/1")} r=', f'", det={a * d}];\n'
+        g = gcd(b, d)
+        yield f'  n{i} [label="{head}{b // g}/{d // g}{tail}'
     for i, j, p in edges:
         yield f"  n{i} -- n{j} [label={p}];\n"
     yield "}\n"
 
 
-def _json_parts(classes: Iterable[MatrixClass], edges: Iterable[tuple[int, int, int]]) -> Iterator[str]:
+def _json_parts(triples: Iterable[tuple[int, int, int]], edges: Iterable[tuple[int, int, int]]) -> Iterator[str]:
     yield '{"vertices": ['
-    for i, m in enumerate(classes):
-        yield f'{", " if i else ""}{{"M": "{_ratio(m.a, m.d)}", "r": "{_ratio(m.b, m.d)}", "det": {m.det}}}'
+    block = None
+    for i, (a, b, d) in enumerate(triples):
+        if block != (a, d):
+            block = a, d
+            head, tail = f'{{"M": "{_ratio(a, d)}", "r": "', f'", "det": {a * d}}}'
+        g = gcd(b, d)
+        yield f'{", " if i else ""}{head}{b // g}/{d // g}{tail}'
     yield '], "edges": ['
     for k, (i, j, p) in enumerate(edges):
         yield f'{", " if k else ""}[{i}, {j}, {p}]'
@@ -274,8 +296,9 @@ def _json_parts(classes: Iterable[MatrixClass], edges: Iterable[tuple[int, int, 
 def export_dot(g: PictureGraph, out: TextIOBase | None = None) -> str | None:
     """Deterministic undirected DOT text; byte-identical for equal inputs.
 
-    ``g`` is a PictureGraph or a pair (classes, edges) of iterables, each read
-    once and in order, such as the streams of ``origin_ball``.
+    ``g`` is a PictureGraph or a pair (triples, edges) of iterables, each read
+    once and in order, such as the streams of ``origin_ball``: canonical
+    triples (a, b, d) of primitive classes and edges (i, j, p).
     Returned as one string, or, given a text stream ``out``, written to it in
     chunks of textout.CHUNK_PARTS lines (the same text, never held whole) and
     None returned.
@@ -290,7 +313,7 @@ def export_json(g: PictureGraph, out: TextIOBase | None = None) -> str | None:
     """JSON with vertices [{M, r, det}] (fractions as "num/den") and edges,
     with no trailing newline.
 
-    ``g`` is read as by ``export_dot``.
+    ``g`` is a PictureGraph or a pair (triples, edges), read as by ``export_dot``.
     Returned as one string, or, given a text stream ``out``, written to it in
     chunks of textout.CHUNK_PARTS vertices or edges (the same text, never held
     whole) and None returned.

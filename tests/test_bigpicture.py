@@ -1,4 +1,5 @@
 import io
+import json
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from m2z.bigpicture import (
     embed,
     export_dot,
     export_json,
+    origin_ball,
     parse_vertex,
     unembed,
     PictureGraph,
@@ -245,8 +247,6 @@ class TestExport:
         assert text == export_dot(ball(ONE, 2))  # byte stable
 
     def test_json_shape(self):
-        import json
-
         g = ball(ONE, 2)
         payload = json.loads(export_json(g))
         assert payload["vertices"][0] == {"M": "1/1", "r": "0/1", "det": 1}
@@ -257,6 +257,23 @@ class TestExport:
             '{"M": "1/2", "r": "1/2", "det": 2}, {"M": "2/1", "r": "0/1", "det": 2}], '
             '"edges": [[0, 1, 2], [0, 2, 2], [0, 3, 2]]}'
         )
+
+    @pytest.mark.parametrize(
+        "center, radius",
+        [(ONE, r) for r in range(1, 41)] + [(parse_vertex("M=3/2,r=1/2"), 20), (parse_vertex("M=625/16,r=3/16"), 20)],
+        ids=str,
+    )
+    def test_vertices_match_a_fraction_oracle(self, center, radius):
+        graph = ball(center, radius)
+        oracle = [(v.M, f"{v.g}/{v.h}", embed(v).det) for v in graph.vertices]
+        as_json = [{"M": f"{M.numerator}/{M.denominator}", "r": r, "det": det} for M, r, det in oracle]
+        as_dot = [f'  n{i} [label="M={M} r={r}", det={det}];' for i, (M, r, det) in enumerate(oracle)]
+        sources = [lambda: graph]
+        if center == ONE:  # and the streamed (triples, edges) pair
+            sources.append(lambda: origin_ball(radius)[2:])
+        for source in sources:
+            assert json.loads(export_json(source()))["vertices"] == as_json
+            assert export_dot(source()).splitlines()[1 : 1 + len(oracle)] == as_dot
 
     @pytest.mark.parametrize(
         "graph",

@@ -318,6 +318,23 @@ def test_origin_ball_matches_the_meet_construction(radius):
     assert (g.classes, g.edges) == origin_ball_by_meets(radius)
 
 
+def edges_by_upper_neighbours(radius):
+    # every upper neighbour from _upper_neighbours, looked up in a dict of the
+    # triple stream; origin_ball reads most lifts' indices as ranges instead
+    index = {m: i for i, m in enumerate(origin_ball(radius)[2])}
+    primes = [p for p in range(2, radius + 1) if is_prime(p)]
+    for (a, b, d), i in index.items():
+        for p in (p for p in primes if p * a * d <= radius):
+            for w in _upper_neighbours(a, b, d, p):
+                yield i, index[w], p
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 150))
+def test_streamed_edges_match_the_upper_neighbours(radius):
+    assert list(origin_ball(radius)[3]) == list(edges_by_upper_neighbours(radius))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 80))
 def test_origin_ball_counts_are_its_stream_lengths(radius):
