@@ -14,27 +14,12 @@ import sys
 from itertools import chain
 from operator import ne
 
-from .bigpicture import ball, delta_direct, embed, export_dot, export_json, origin_ball, parse_vertex, unembed
-from .errors import DomainError
-from .matrices import _RATIONAL, _numbers, hnf, hyper_distance, parse_matrix
-from .supernatural import (
-    Equivalent,
-    ExtMatrix,
-    GOORMAGHTIGH_8191_NOTE,
-    equiv_decide,
-    ext_membership,
-    goormaghtigh_search,
-    moebius_apply,
-    parse_moebius,
-    parse_supernatural,
-)
-from .textout import CHUNK_PARTS, write_chunks
-from .zeta import axpb_count, count_classes_by_det, count_primitive_by_det, psi_coeffs, sigma_coeffs
+from . import bigpicture, errors, matrices, supernatural, textout, zeta
 
 
 def _cmd_hnf(args) -> int:
-    m = parse_matrix(args.matrix)
-    h = hnf(m)
+    m = matrices.parse_matrix(args.matrix)
+    h = matrices.hnf(m)
     payload = {
         "hnf": [[h.a, h.b], [0, h.d]],
         "det": h.det,
@@ -49,18 +34,18 @@ def _parse_class(text: str):
     """(class, vertex) of a vertex or matrix literal; the vertex is None for
     an imprimitive class."""
     if "=" in text:
-        vertex = parse_vertex(text)
-        return embed(vertex), vertex
-    m = hnf(parse_matrix(text))
-    return m, (unembed(m) if m.is_primitive else None)
+        vertex = bigpicture.parse_vertex(text)
+        return bigpicture.embed(vertex), vertex
+    m = matrices.hnf(matrices.parse_matrix(text))
+    return m, (bigpicture.unembed(m) if m.is_primitive else None)
 
 
 def _cmd_dist(args) -> int:
     mx, vx = _parse_class(args.x)
     my, vy = _parse_class(args.y)
-    d = hyper_distance(mx, my)
+    d = matrices.hyper_distance(mx, my)
     if vx is not None and vy is not None:
-        via = delta_direct(vx, vy)
+        via = bigpicture.delta_direct(vx, vy)
         payload = {"delta": d, "via_alpha": via, "agree": via == d}
     else:
         payload = {"delta": d, "via_alpha": None, "agree": None}
@@ -71,30 +56,30 @@ def _cmd_dist(args) -> int:
 def _cmd_ball(args) -> int:
     m = _parse_class(args.center)[0]
     if m.det == 1:  # the origin, whose ball is streamed
-        vertices, edges, *graph = origin_ball(args.radius)
+        vertices, edges, *graph = bigpicture.origin_ball(args.radius)
     else:
-        graph = ball(unembed(m), args.radius)
+        graph = bigpicture.ball(bigpicture.unembed(m), args.radius)
         vertices, edges = len(graph.classes), len(graph.edges)
     if args.format == "dot":
-        export_dot(graph, sys.stdout)
+        bigpicture.export_dot(graph, sys.stdout)
     else:
-        export_json(graph, sys.stdout)
+        bigpicture.export_json(graph, sys.stdout)
         sys.stdout.write("\n")
     print(f"vertices: {vertices} edges: {edges}", file=sys.stderr)
     return 0
 
 
-_ZETA_ROUTES = {
-    "M": (sigma_coeffs, count_classes_by_det),
-    "P": (psi_coeffs, count_primitive_by_det),
-    "Pbar": (axpb_count, axpb_count),
+_ZETA_ROUTES = {  # (formula, enumeration) by name, looked up in zeta at call time
+    "M": ("sigma_coeffs", "count_classes_by_det"),
+    "P": ("psi_coeffs", "count_primitive_by_det"),
+    "Pbar": ("axpb_count", "axpb_count"),
 }
 
 
 def _write_csv(header: str | None, rows) -> None:
     """Write the header (when given) and the rows, each ending in a newline,
     in chunks of textout.CHUNK_PARTS rows."""
-    write_chunks(sys.stdout, rows if header is None else chain((header + "\n",), rows))
+    textout.write_chunks(sys.stdout, rows if header is None else chain((header + "\n",), rows))
 
 
 def _zeta_json_parts(columns: list[list[int]], mism: int | None):
@@ -102,14 +87,14 @@ def _zeta_json_parts(columns: list[list[int]], mism: int | None):
     them, in parts of CHUNK_PARTS numbers."""
     for key, column in zip(("",) if mism is None else ('{"formula": ', ', "enumerated": '), columns):
         yield key + "["
-        for k in range(0, len(column), CHUNK_PARTS):
-            yield ", " * (k > 0) + json.dumps(column[k : k + CHUNK_PARTS])[1:-1]
+        for k in range(0, len(column), textout.CHUNK_PARTS):
+            yield ", " * (k > 0) + json.dumps(column[k : k + textout.CHUNK_PARTS])[1:-1]
         yield "]"
     yield "\n" if mism is None else f', "mismatches": {mism}}}\n'
 
 
 def _cmd_zeta(args) -> int:
-    formula_fn, enumerate_fn = _ZETA_ROUTES[args.which]
+    formula_fn, enumerate_fn = (getattr(zeta, name) for name in _ZETA_ROUTES[args.which])
     fns = {"formula": (formula_fn,), "enumerate": (enumerate_fn,), "both": (formula_fn, enumerate_fn)}[args.mode]
     columns = [fn(args.terms).coeffs[1:] for fn in fns]
     mism = sum(map(ne, *columns)) if len(columns) == 2 else None
@@ -127,8 +112,8 @@ def _cmd_zeta(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    verdict = equiv_decide(parse_supernatural(args.z1), parse_supernatural(args.z2))
-    if isinstance(verdict, Equivalent):
+    verdict = supernatural.equiv_decide(*map(supernatural.parse_supernatural, (args.z1, args.z2)))
+    if isinstance(verdict, supernatural.Equivalent):
         w = verdict.witness
         payload = {"verdict": "Equivalent", "witness": [[w.a, w.b], [w.c, w.d]]}
     else:
@@ -139,8 +124,8 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_apply(args) -> int:
     try:
-        image = moebius_apply(parse_moebius(args.matrix), parse_supernatural(args.z))
-    except DomainError as exc:  # Degenerate, NotAUnit or NotRepresentable; main reports it
+        image = supernatural.moebius_apply(supernatural.parse_moebius(args.matrix), supernatural.parse_supernatural(args.z))
+    except errors.DomainError as exc:  # Degenerate, NotAUnit or NotRepresentable; main reports it
         prime = getattr(exc, "prime", None)
         print(json.dumps({"error": type(exc).__name__} | ({} if prime is None else {"prime": prime})))
         raise
@@ -149,17 +134,17 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_member(args) -> int:
-    x = ExtMatrix(parse_supernatural(args.s), parse_supernatural(args.z), parse_supernatural(args.sprime))
-    [u], [v] = (_numbers(rf"\s*{_RATIONAL}\s*", text, "a rational num/den") for text in (args.u, args.v))
-    print("true" if ext_membership(x, u, v) else "false")
+    x = supernatural.ExtMatrix(*map(supernatural.parse_supernatural, (args.s, args.z, args.sprime)))
+    [u], [v] = (matrices._numbers(rf"\s*{matrices._RATIONAL}\s*", text, "a rational num/den") for text in (args.u, args.v))
+    print("true" if supernatural.ext_membership(x, u, v) else "false")
     return 0
 
 
 def _cmd_goormaghtigh(args) -> int:
-    rows = goormaghtigh_search(args.bound)
+    rows = supernatural.goormaghtigh_search(args.bound)
     _write_csv("x,y,n,m,value" if args.header else None, (",".join(map(str, row)) + "\n" for row in rows))
     if any(row[4] == 8191 for row in rows):
-        print(f"note: {GOORMAGHTIGH_8191_NOTE}", file=sys.stderr)
+        print(f"note: {supernatural.GOORMAGHTIGH_8191_NOTE}", file=sys.stderr)
     return 0
 
 
@@ -233,7 +218,7 @@ def main(argv=None) -> int:
     except (ValueError, OverflowError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except DomainError as exc:
+    except errors.DomainError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

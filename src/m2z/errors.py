@@ -1,5 +1,8 @@
 """Domain errors raised by the library and mapped to CLI exit code 1."""
 
+__all__ = ["DomainError", "SingularMatrix", "NotDivisible", "NotUnimodular", "PrimeMismatch", "NotPrimitive",
+           "LengthMismatch", "Degenerate", "NotAUnit", "NotRepresentable"]
+
 
 class DomainError(Exception):
     """Base class for all domain-level failures."""

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterator, Mapping
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import NotDivisible, NotUnimodular, SingularMatrix
@@ -300,6 +299,9 @@ def _numbers(pattern: str, text: str, form: str) -> list:
     written with "/"); ValueError names ``form`` when it does not match."""
     if (m := re.fullmatch(pattern, text)) is None:
         raise ValueError(f"expected {form}, got {text!r}")
+    if "/" not in text:
+        return [int(g) for g in m.groups()]
+    from fractions import Fraction
     return [Fraction(int(n), int(d)) if d else int(n) for n, _, d in (g.partition("/") for g in m.groups())]
 
 

@@ -13,7 +13,6 @@ factor.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import count
 from math import gcd, isqrt
 
@@ -185,7 +184,7 @@ def valuation(x: int | Fraction, p: int) -> int:
         raise ValueError(f"valuation needs a base p >= 2, got {p}")
     if x == 0:
         raise ValueError("valuation of zero is infinite")
-    if isinstance(x, Fraction):
+    if not isinstance(x, int):  # a Fraction
         return valuation(x.numerator, p) - valuation(x.denominator, p)
     x = abs(x)
     powers = [p]  # p, p^2, p^4, ...

@@ -22,7 +22,6 @@ differ.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, lcm, log2, prod
 from operator import itemgetter
@@ -251,6 +250,7 @@ def moebius_apply(g: MoebiusMatrix, z: ComponentwiseProfinite) -> ComponentwiseP
             return ZERO_EVERYWHERE
         if b == a:
             return ONE
+        from fractions import Fraction
         raise NotRepresentable(None, f"all components map to {Fraction(b, a)}")
     if a + c == 0:
         raise NotAUnit(None)
@@ -269,10 +269,12 @@ def moebius_apply(g: MoebiusMatrix, z: ComponentwiseProfinite) -> ComponentwiseP
             elif r == 0 and q >= 1 and p ** (e := valuation(q, p)) == q:
                 out[p] = e
             else:
+                from fractions import Fraction
                 raise NotRepresentable(p, f"component at {p} maps to {Fraction(n, t)}")
         return ComponentwiseProfinite._of_known_primes(out)
     if b + d == 0 and not any(n for _, n, _ in images):
         return ZERO_EVERYWHERE
+    from fractions import Fraction
     raise NotRepresentable(None, f"default components map to {Fraction(b + d, a + c)}")
 
 
@@ -389,6 +391,7 @@ def ext_membership(x: ExtMatrix, u: int | Fraction, v: int | Fraction) -> bool:
     check passes when 1 is left after stripping the support primes from those
     denominators with gcd, so nothing is factored.
     """
+    from fractions import Fraction
     u = Fraction(u)
     v = Fraction(v)
     support = set(x.s.support) | set(x.z.support) | set(x.s_prime.support)

@@ -548,3 +548,92 @@ def test_literal_bomb_is_refused_at_once(argv, prefix):
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr.startswith(prefix)
     assert result.stderr.count("\n") == 1
+
+
+def _fresh_python(*args):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-W", "error", *args], env=env, capture_output=True, text=True, timeout=30)
+
+
+# `import m2z` registers every library module unexecuted; one runs on the first
+# access to its attributes.  type() does not trigger that load: it is
+# types.ModuleType only for a module that has run.
+_EXECUTED = "sorted(n[4:] for n, m in sys.modules.items() if n.startswith('m2z.') and type(m) is types.ModuleType)"
+_CALL_PROBE = f"""
+import contextlib, io, json, sys, types
+from m2z.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, {_EXECUTED}, "fractions" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, unexecuted",
+    [
+        (("hnf", "0,1;2,0"), {"bigpicture", "localposet", "supernatural", "textout", "zeta"}),
+        (("zeta", "--which", "M", "--terms", "10"), {"bigpicture", "localposet", "matrices", "supernatural"}),
+        (("ext", "equiv", "2^1", "2^3"), {"bigpicture", "localposet", "textout", "zeta"}),
+    ],
+)
+def test_a_call_runs_only_the_modules_of_its_subcommand(argv, unexecuted):
+    result = _fresh_python("-c", _CALL_PROBE, *argv)
+    assert result.stderr == ""
+    code, executed, fractions = json.loads(result.stdout)
+    assert code == 0
+    assert not unexecuted & set(executed)
+    assert not fractions  # nothing in these calls builds a rational
+
+
+def test_a_ball_call_runs_bigpicture():
+    result = _fresh_python("-c", _CALL_PROBE, "ball", "M=1,r=0", "--radius", "3")
+    assert result.stderr == ""
+    code, executed, _ = json.loads(result.stdout)
+    assert code == 0 and "bigpicture" in executed
+
+
+def test_star_import_binds_the_public_names_of_the_six_modules():
+    probe = """
+import m2z.bigpicture, m2z.errors, m2z.localposet, m2z.matrices, m2z.supernatural, m2z.zeta
+modules = [m2z.bigpicture, m2z.errors, m2z.localposet, m2z.matrices, m2z.supernatural, m2z.zeta]
+expected = {name: getattr(m, name) for m in modules for name in m.__all__}
+namespace = {}
+exec("from m2z import *", namespace)
+del namespace["__builtins__"]
+print(namespace.keys() == expected.keys(), all(namespace[k] is v for k, v in expected.items()))
+"""
+    result = _fresh_python("-c", probe)
+    assert (result.stdout, result.stderr) == ("True True\n", "")
+
+
+def test_the_version_loads_no_module():
+    result = _fresh_python("-c", f"import sys, types, m2z; m2z.__version__; print({_EXECUTED})")
+    assert (result.stdout, result.stderr) == ("[]\n", "")
+
+
+def test_running_the_cli_module_warns_nothing():
+    # runpy warns, and runs the module twice, when the package has already put m2z.cli in sys.modules
+    result = _fresh_python("-m", "m2z.cli", "hnf", "0,1;2,0")
+    assert (result.returncode, result.stderr) == (0, "")
+
+
+def test_threads_that_touch_a_module_first_all_find_it_whole():
+    # the first access runs the module while the other threads wait for the end of the run
+    probe = """
+import sys, threading
+import m2z
+sys.setswitchinterval(1e-6)
+barrier, seen = threading.Barrier(8), []
+def touch():
+    barrier.wait()
+    seen.append(m2z.supernatural.goormaghtigh_witness)  # the last name the module binds
+threads = [threading.Thread(target=touch) for _ in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(10)
+print(len(seen), len(set(seen)), any(t.is_alive() for t in threads))
+"""
+    result = _fresh_python("-c", probe)
+    assert (result.stdout, result.stderr) == ("8 1 False\n", "")

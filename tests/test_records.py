@@ -153,7 +153,8 @@ def test_picture_graph_computes_its_vertices_once(monkeypatch):
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    probe = "import m2z.cli, sys; print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    # the star import runs every library module, which import m2z.cli alone leaves unexecuted
+    probe = "import m2z.cli, sys; from m2z import *; print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
     result = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=30)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
