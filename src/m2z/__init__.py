@@ -8,8 +8,8 @@ unexecuted and runs on the first access to one of its attributes.  The
 package serves the ``__all__`` names of the modules in ``_PUBLIC``."""
 
 import sys
+from _thread import RLock
 from importlib.util import find_spec, module_from_spec
-from threading import RLock
 from types import ModuleType
 
 __version__ = "0.1.0"
@@ -23,7 +23,11 @@ class _Unrun(ModuleType):
             spec = ModuleType.__getattribute__(self, "__spec__")
             if spec.loader_state is None:  # the run's own accesses find it set and pass
                 spec.loader_state = "run"
-                spec.loader.exec_module(self)
+                try:
+                    spec.loader.exec_module(self)
+                except BaseException:  # a run that raised runs again on the next access
+                    spec.loader_state = None
+                    raise
                 self.__class__ = ModuleType
         return ModuleType.__getattribute__(self, attr)
 

@@ -18,7 +18,6 @@ embedded centre, since the picture is homogeneous.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from fractions import Fraction
 from functools import cached_property
 from io import TextIOBase
 from itertools import accumulate, starmap
@@ -45,6 +44,7 @@ __all__ = [
     "export_json",
     "parse_vertex",
 ]
+_VERTEX = rf"\s*M\s*=\s*{_RATIONAL}\s*,\s*r\s*=\s*{_RATIONAL}\s*"  # the literal "M=num/den,r=g/h"
 
 
 class BigPictureVertex(Frozen):
@@ -53,6 +53,7 @@ class BigPictureVertex(Frozen):
     __slots__ = ("M", "g", "h")
 
     def __init__(self, M: Fraction, g: int, h: int):
+        from fractions import Fraction
         M = Fraction(M)
         if M <= 0:
             raise ValueError(f"M must be positive, got {M}")
@@ -63,11 +64,13 @@ class BigPictureVertex(Frozen):
     @classmethod
     def of(cls, M, r=0) -> "BigPictureVertex":
         """Build from M and any rational r, canonicalizing r mod 1."""
+        from fractions import Fraction
         r = Fraction(r) % 1
-        return cls(Fraction(M), r.numerator, r.denominator)
+        return cls(M, r.numerator, r.denominator)
 
     @property
     def r(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self.g, self.h)
 
     def __str__(self) -> str:
@@ -102,6 +105,7 @@ def unembed(m: MatrixClass) -> BigPictureVertex:
     """The vertex (a/d, b/d mod 1) of a primitive class; inverse of embed."""
     if not m.is_primitive:
         raise NotPrimitive(f"{m} has content {m.content}")
+    from fractions import Fraction
     r = Fraction(m.b, m.d)
     return BigPictureVertex(Fraction(m.a, m.d), r.numerator, r.denominator)
 
@@ -115,6 +119,7 @@ def delta_direct(x: BigPictureVertex, y: BigPictureVertex) -> int:
     """Hyper-distance via alpha-matrices: det of the minimal integral scaling
     of alpha_x * alpha_y^-1, the positive scalar route."""
     # alpha_x * alpha_y^-1 = [[Mx/My, (rx*My - Mx*ry)/My], [0, 1]]
+    from fractions import Fraction
     c11 = x.M / y.M
     c12 = (x.r * y.M - x.M * y.r) / y.M
     entries = [c for c in (c11, c12, Fraction(1)) if c != 0]
@@ -326,5 +331,12 @@ def export_json(g: PictureGraph, out: TextIOBase | None = None) -> str | None:
 
 def parse_vertex(text: str) -> BigPictureVertex:
     """Parse the literal "M=num/den,r=g/h" (plain integers allowed)."""
-    pattern = rf"\s*M\s*=\s*{_RATIONAL}\s*,\s*r\s*=\s*{_RATIONAL}\s*"
-    return BigPictureVertex.of(*_numbers(pattern, text, '"M=num/den,r=g/h"'))
+    return BigPictureVertex.of(*_numbers(_VERTEX, text, '"M=num/den,r=g/h"'))
+
+
+def _vertex_class(text: str) -> MatrixClass:
+    """embed(parse_vertex(text)), but integers M > 0 and r give (M, 0; 0, 1) without a Fraction."""
+    M, r = _numbers(_VERTEX, text, '"M=num/den,r=g/h"')
+    if type(M) is type(r) is int and M > 0:
+        return MatrixClass(M, 0, 1)
+    return embed(BigPictureVertex.of(M, r))

@@ -9,15 +9,16 @@ Fractions are always rendered as "num/den" strings, never as floating point.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from itertools import chain
 from operator import ne
 
 from . import bigpicture, errors, matrices, supernatural, textout, zeta
+# json is imported by the handlers that print it: a ball call never loads it.
 
 
 def _cmd_hnf(args) -> int:
+    import json
     m = matrices.parse_matrix(args.matrix)
     h = matrices.hnf(m)
     payload = {
@@ -41,6 +42,7 @@ def _parse_class(text: str):
 
 
 def _cmd_dist(args) -> int:
+    import json
     mx, vx = _parse_class(args.x)
     my, vy = _parse_class(args.y)
     d = matrices.hyper_distance(mx, my)
@@ -54,7 +56,7 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_ball(args) -> int:
-    m = _parse_class(args.center)[0]
+    m = bigpicture._vertex_class(args.center) if "=" in args.center else matrices.hnf(matrices.parse_matrix(args.center))
     if m.det == 1:  # the origin, whose ball is streamed
         vertices, edges, *graph = bigpicture.origin_ball(args.radius)
     else:
@@ -85,6 +87,7 @@ def _write_csv(header: str | None, rows) -> None:
 def _zeta_json_parts(columns: list[list[int]], mism: int | None):
     """The JSON payload of ``zeta`` and its newline, as json.dumps writes
     them, in parts of CHUNK_PARTS numbers."""
+    import json
     for key, column in zip(("",) if mism is None else ('{"formula": ', ', "enumerated": '), columns):
         yield key + "["
         for k in range(0, len(column), textout.CHUNK_PARTS):
@@ -112,6 +115,7 @@ def _cmd_zeta(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
+    import json
     verdict = supernatural.equiv_decide(*map(supernatural.parse_supernatural, (args.z1, args.z2)))
     if isinstance(verdict, supernatural.Equivalent):
         w = verdict.witness
@@ -127,6 +131,7 @@ def _cmd_apply(args) -> int:
         image = supernatural.moebius_apply(supernatural.parse_moebius(args.matrix), supernatural.parse_supernatural(args.z))
     except errors.DomainError as exc:  # Degenerate, NotAUnit or NotRepresentable; main reports it
         prime = getattr(exc, "prime", None)
+        import json
         print(json.dumps({"error": type(exc).__name__} | ({} if prime is None else {"prime": prime})))
         raise
     print(str(image))

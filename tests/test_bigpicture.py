@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from m2z.bigpicture import (
     parse_vertex,
     unembed,
     PictureGraph,
+    _vertex_class,
 )
 from m2z.errors import NotPrimitive
 from m2z.matrices import MatrixClass, classes_with_det, hyper_distance
@@ -61,6 +63,17 @@ class TestVertex:
         assert parse_vertex("M=2,r=0") == BigPictureVertex.of(2)
         with pytest.raises(ValueError):
             parse_vertex("M=1")
+
+    @pytest.mark.parametrize("text", ["M=1,r=0", "M=7,r=-3", " M = 012 , r = 5 ", "M=4/2,r=0", "M=2,r=1/3", "M=3/2,r=-1/2"])
+    def test_vertex_class_is_the_embedded_literal(self, text):
+        assert _vertex_class(text) == embed(parse_vertex(text))
+
+    @pytest.mark.parametrize("text", ["M=0,r=0", "M=-2,r=1", "M=0/3,r=0", "M=1"])
+    def test_vertex_class_refuses_what_parse_vertex_refuses(self, text):
+        with pytest.raises(ValueError) as refused:
+            parse_vertex(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
+            _vertex_class(text)
 
 
 class TestEmbedding:

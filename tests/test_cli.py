@@ -561,11 +561,14 @@ def _fresh_python(*args):
 # types.ModuleType only for a module that has run.
 _EXECUTED = "sorted(n[4:] for n, m in sys.modules.items() if n.startswith('m2z.') and type(m) is types.ModuleType)"
 _CALL_PROBE = f"""
-import contextlib, io, json, sys, types
+import contextlib, io, sys, types
+before = set(sys.modules)
 from m2z.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, {_EXECUTED}, "fractions" in sys.modules]))
+loaded = [name for name in ("fractions", "json") if name in set(sys.modules) - before]  # taken before the probe imports json
+import json
+print(json.dumps([code, {_EXECUTED}, loaded]))
 """
 
 
@@ -580,17 +583,36 @@ print(json.dumps([code, {_EXECUTED}, "fractions" in sys.modules]))
 def test_a_call_runs_only_the_modules_of_its_subcommand(argv, unexecuted):
     result = _fresh_python("-c", _CALL_PROBE, *argv)
     assert result.stderr == ""
-    code, executed, fractions = json.loads(result.stdout)
+    code, executed, loaded = json.loads(result.stdout)
     assert code == 0
     assert not unexecuted & set(executed)
-    assert not fractions  # nothing in these calls builds a rational
+    assert "fractions" not in loaded  # nothing in these calls builds a rational
 
 
-def test_a_ball_call_runs_bigpicture():
-    result = _fresh_python("-c", _CALL_PROBE, "ball", "M=1,r=0", "--radius", "3")
+@pytest.mark.parametrize("center", ["M=1,r=0", "1,0;0,1"])
+def test_an_origin_ball_call_runs_bigpicture_and_loads_no_fractions_or_json(center):
+    result = _fresh_python("-c", _CALL_PROBE, "ball", center, "--radius", "3")
     assert result.stderr == ""
-    code, executed, _ = json.loads(result.stdout)
+    code, executed, loaded = json.loads(result.stdout)
     assert code == 0 and "bigpicture" in executed
+    assert not {"localposet", "supernatural", "zeta"} & set(executed)
+    assert loaded == []  # the origin ball is streamed as integer triples and written without json
+
+
+def test_a_module_whose_first_run_raised_runs_again_on_the_next_access():
+    probe = """
+import sys, types
+import m2z
+math, sys.modules["math"] = sys.modules["math"], None  # zeta's own "from math import ..." fails
+try:
+    m2z.zeta.sigma_coeffs
+except ImportError:
+    print("ImportError")
+sys.modules["math"] = math
+print(m2z.zeta.sigma_coeffs(4).coeffs, type(sys.modules["m2z.zeta"]) is types.ModuleType)
+"""
+    result = _fresh_python("-c", probe)
+    assert (result.stdout, result.stderr) == ("ImportError\n(0, 1, 3, 4, 7) True\n", "")
 
 
 def test_star_import_binds_the_public_names_of_the_six_modules():
