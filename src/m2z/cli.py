@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import chain
+from itertools import chain, islice
 from operator import ne
 
 from . import bigpicture, errors, matrices, supernatural, textout, zeta
@@ -84,14 +84,14 @@ def _write_csv(header: str | None, rows) -> None:
     textout.write_chunks(sys.stdout, rows if header is None else chain((header + "\n",), rows))
 
 
-def _zeta_json_parts(columns: list[list[int]], mism: int | None):
+def _zeta_json_parts(columns: list[tuple[int, ...]], mism: int | None):
     """The JSON payload of ``zeta`` and its newline, as json.dumps writes
-    them, in parts of CHUNK_PARTS numbers."""
+    them, in parts of CHUNK_PARTS numbers, from whole tables (entry 0 skipped)."""
     import json
     for key, column in zip(("",) if mism is None else ('{"formula": ', ', "enumerated": '), columns):
         yield key + "["
-        for k in range(0, len(column), textout.CHUNK_PARTS):
-            yield ", " * (k > 0) + json.dumps(column[k : k + textout.CHUNK_PARTS])[1:-1]
+        for k in range(1, len(column), textout.CHUNK_PARTS):
+            yield ", " * (k > 1) + json.dumps(column[k : k + textout.CHUNK_PARTS])[1:-1]
         yield "]"
     yield "\n" if mism is None else f', "mismatches": {mism}}}\n'
 
@@ -99,16 +99,16 @@ def _zeta_json_parts(columns: list[list[int]], mism: int | None):
 def _cmd_zeta(args) -> int:
     formula_fn, enumerate_fn = (getattr(zeta, name) for name in _ZETA_ROUTES[args.which])
     fns = {"formula": (formula_fn,), "enumerate": (enumerate_fn,), "both": (formula_fn, enumerate_fn)}[args.mode]
-    columns = [fn(args.terms).coeffs[1:] for fn in fns]
+    columns = [fn(args.terms).coeffs for fn in fns]  # whole tables, not copies; coeffs[0] is 0 in each
     mism = sum(map(ne, *columns)) if len(columns) == 2 else None
     if args.format == "json":
         sys.stdout.writelines(_zeta_json_parts(columns, mism))
     elif mism is None:
         header = "n,coefficient" if args.header else None
-        _write_csv(header, (f"{i},{c}\n" for i, c in enumerate(columns[0], start=1)))
+        _write_csv(header, (f"{i},{c}\n" for i, c in islice(enumerate(columns[0]), 1, None)))
     else:
         header = "n,formula,enumerated" if args.header else None
-        _write_csv(header, (f"{i},{f},{e}\n" for i, (f, e) in enumerate(zip(*columns), start=1)))
+        _write_csv(header, (f"{i},{f},{e}\n" for i, (f, e) in islice(enumerate(zip(*columns)), 1, None)))
     if mism is not None:
         print(f"mismatches: {mism}", file=sys.stderr)
     return 0

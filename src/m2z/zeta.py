@@ -7,12 +7,11 @@ available twice: as a sieve formula and as an honest enumeration over
 canonical representatives, so the two routes check each other coefficient by
 coefficient.  Everything is an exact integer; no analytic values anywhere.
 
-The enumerations visit the pairs (a, d) with ad <= N by Dirichlet's hyperbola
-split, s = isqrt(N): the pairs with d <= s, one slice coeffs[d::d] per d,
-then the pairs with d > s, which have a <= N // (s + 1), one slice per a.
-The two passes are disjoint and cover every pair once, so each coefficient is
-still a sum over the canonical representatives of its determinant, in about
-2s slice assignments instead of N ln N steps of a Python loop.
+The enumerations visit each pair (a, d) with ad <= N once, by Dirichlet's
+hyperbola method in its symmetric form: (a, d) and (d, a) have the same
+product and gcd, so for each x <= isqrt(N) one slice coeffs[x*(x+1)::x] adds
+both orders of the pairs {x, y}, x < y <= N // x, and coeffs[x*x] the square
+x = y.  That is isqrt(N) slice assignments instead of N ln N loop steps.
 """
 
 from __future__ import annotations
@@ -62,8 +61,8 @@ class CoefficientTable(Frozen):
         return self.coeffs[n]
 
 
-# At 3,000,000 terms ``m2z zeta --mode both`` peaked at 339 MB RSS for M and for
-# P, in JSON and in CSV (124 MB at 10^6).  The limit was set when JSON peaked at
+# At 3,000,000 terms ``m2z zeta --mode both`` peaks at 313 MB RSS for M and for
+# P, in JSON and in CSV (114 MB at 10^6).  The limit was set when JSON peaked at
 # 445 MB there, near the 450 MB that MAX_BALL_VERTICES was then sized for.
 MAX_ZETA_TERMS = 3_000_000
 
@@ -101,6 +100,7 @@ def sigma_coeffs(n_terms: int) -> CoefficientTable:
             coeffs[n] = coeffs[m] * (p + 1)
         else:  # sigma(p^k) = (p + 1) * sigma(p^(k-1)) - p * sigma(p^(k-2))
             coeffs[n] = coeffs[m] * (p + 1) - p * coeffs[m // p]
+    del spf  # before the tuple copy, so the sieve and the copy never coexist
     return CoefficientTable(FULL_MONOID, tuple(coeffs))
 
 
@@ -115,6 +115,7 @@ def psi_coeffs(n_terms: int) -> CoefficientTable:
         p = spf[n] or n
         m = n // p
         coeffs[n] = coeffs[m] * p if m % p == 0 else coeffs[m] * (p + 1)
+    del spf
     return CoefficientTable(BIG_PICTURE, tuple(coeffs))
 
 
@@ -122,17 +123,15 @@ def count_classes_by_det(n_terms: int) -> CoefficientTable:
     """Number of classes of each determinant, by enumerating the canonical
     triples (a, d, b): a*d = n and 0 <= b < d, so the pair (a, d) adds d.
 
-    Two passes over the pairs (see the module docstring), s = isqrt(N): each
-    d <= s adds d at every multiple of d, then each a <= N // (s + 1) adds d
-    at a*d for d = s + 1 .. N // a.
+    One pass over the unordered pairs {x, y} (see the module docstring): the
+    pairs {1, y} start the table at y + 1 (1 at n = 1), then each
+    x = 2 .. isqrt(N) adds x at x*x and x + y at x*y for y = x + 1 .. N // x.
     """
     _check_terms(n_terms)
-    s = isqrt(n_terms)
-    coeffs = [0] * (n_terms + 1)
-    for d in range(1, s + 1):
-        coeffs[d::d] = [x + d for x in coeffs[d::d]]
-    for a in range(1, n_terms // (s + 1) + 1):
-        coeffs[a * (s + 1) :: a] = map(add, coeffs[a * (s + 1) :: a], range(s + 1, n_terms // a + 1))
+    coeffs = [0, 1, *range(3, n_terms + 2)]
+    for x in range(2, isqrt(n_terms) + 1):
+        coeffs[x * x] += x
+        coeffs[x * (x + 1) :: x] = map(add, coeffs[x * (x + 1) :: x], range(2 * x + 1, x + n_terms // x + 1))
     return CoefficientTable(FULL_MONOID, tuple(coeffs))
 
 
@@ -143,20 +142,18 @@ def count_primitive_by_det(n_terms: int) -> CoefficientTable:
     The content of (a, b; 0, d) is gcd(g, b) with g = gcd(a, d).  It depends
     on b mod g only, and g | d, so [0, d) holds d/g copies of units[g], the
     count of b in [0, g) coprime to g, found by enumerating b.  g^2 | ad <= N,
-    so only g <= isqrt(N) occurs.  The pairs (a, d) are visited in the same
-    two passes as in count_classes_by_det.
+    so only g <= isqrt(N) occurs.  One pass as in count_classes_by_det: a
+    pair {x, y}, x < y, adds (x + y) // g * units[g], the square {x, x} units[x].
     """
     _check_terms(n_terms)
     s = isqrt(n_terms)
     units = [0] + [list(map(gcd, repeat(g), range(g))).count(1) for g in range(1, s + 1)]
-    coeffs = [0] * (n_terms + 1)
-    for d in range(1, s + 1):
-        gs = map(gcd, range(1, n_terms // d + 1), repeat(d))
-        coeffs[d::d] = [x + d // g * units[g] for x, g in zip(coeffs[d::d], gs)]
-    for a in range(1, n_terms // (s + 1) + 1):
-        ds = range(s + 1, n_terms // a + 1)
-        tail = zip(coeffs[a * (s + 1) :: a], ds, map(gcd, repeat(a), ds))
-        coeffs[a * (s + 1) :: a] = [x + d // g * units[g] for x, d, g in tail]
+    coeffs = [0, 1, *range(3, n_terms + 2)]  # the pairs {1, y}, whose g is 1
+    for x in range(2, s + 1):
+        coeffs[x * x] += units[x]
+        ys = range(x + 1, n_terms // x + 1)
+        pairs = zip(coeffs[x * (x + 1) :: x], ys, map(gcd, repeat(x), ys))
+        coeffs[x * (x + 1) :: x] = [c + (x + y) // g * units[g] for c, y, g in pairs]
     return CoefficientTable(BIG_PICTURE, tuple(coeffs))
 
 

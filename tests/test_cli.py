@@ -361,7 +361,7 @@ class TestAnswersOverTheDefaultDigitCap:
 
 
 def test_out_of_memory_is_a_usage_error():
-    # the largest table the guard allows peaks near 180 MB, which a 128 MB
+    # the largest table the guard allows peaks near 150 MB, which a 128 MB
     # address-space cap refuses part way: the MemoryError comes from an
     # allocation, not from a size guard, and cli.main still maps it to exit 2
     def cap_address_space():

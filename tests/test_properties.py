@@ -99,7 +99,8 @@ def test_formulas_equal_enumerations(n):
 
 
 def enumerations_by_nested_loops(n_terms):
-    # the loops the hyperbola split replaced: one step per pair (a, d)
+    # the definition, one step per ordered pair (a, d): the reference for the
+    # symmetric pass, which visits each unordered pair once and the squares apart
     classes, primitive = [0] * (n_terms + 1), [0] * (n_terms + 1)
     for a in range(1, n_terms + 1):
         for d in range(1, n_terms // a + 1):
@@ -109,8 +110,8 @@ def enumerations_by_nested_loops(n_terms):
     return classes, primitive
 
 
-# every N <= 400, and around each square and pronic number up to 41^2, where
-# isqrt(N) and N // (isqrt(N) + 1) change
+# every N <= 400, and around each square x*x and pronic number x*(x + 1) up to
+# 41^2, where the pass gains the square term and the first slice element of x
 SPLIT_SIZES = sorted(
     set(range(1, 401))
     | {n for s in range(1, 41) for n in (s * s - 1, s * s, s * s + 1, s * s + s, s * s + s + 1)} - {0}

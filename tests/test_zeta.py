@@ -2,6 +2,7 @@ from math import gcd
 
 import pytest
 
+from m2z import zeta
 from m2z.errors import LengthMismatch
 from m2z.matrices import classes_with_det
 from m2z.zeta import (
@@ -66,7 +67,7 @@ class TestEnumeration:
             assert t.value(n) == len(list(classes_with_det(n)))
 
     def test_smallest_tables(self):
-        # isqrt(N) = 1: one slice for d = 1, then N // 2 slices for the d >= 2
+        # isqrt(N) = 1: the pairs {1, y} alone fill the table, no slice runs
         assert count_classes_by_det(1).coeffs == (0, 1)
         assert count_classes_by_det(2).coeffs == (0, 1, 3)
         assert count_classes_by_det(3).coeffs == (0, 1, 3, 4)
@@ -89,6 +90,21 @@ class TestEnumeration:
         n = 500
         assert count_classes_by_det(n).coeffs == sigma_coeffs(n).coeffs
         assert count_primitive_by_det(n).coeffs == psi_coeffs(n).coeffs
+
+    def test_enumerations_never_use_the_sieve(self, monkeypatch):
+        # `zeta --mode both` checks each sieve formula against an enumeration,
+        # which shows a sieve fault only if the enumeration does not share it
+        sigma, psi = sigma_coeffs(1000).coeffs, psi_coeffs(1000).coeffs
+
+        def refuse(n):
+            raise AssertionError("an enumeration reached the sieve")
+
+        monkeypatch.setattr(zeta, "primes_up_to", refuse)
+        monkeypatch.setattr(zeta, "_smallest_prime_factors", refuse)
+        with pytest.raises(AssertionError, match="reached the sieve"):
+            sigma_coeffs(10)  # the patch is in force
+        assert count_classes_by_det(1000).coeffs == sigma
+        assert count_primitive_by_det(1000).coeffs == psi
 
 
 class TestConvolution:
