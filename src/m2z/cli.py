@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import chain, islice
 from operator import ne
 
 from . import bigpicture, errors, matrices, supernatural, textout, zeta
@@ -78,21 +77,12 @@ _ZETA_ROUTES = {  # (formula, enumeration) by name, looked up in zeta at call ti
 }
 
 
-def _write_csv(header: str | None, rows) -> None:
-    """Write the header (when given) and the rows, each ending in a newline,
-    in chunks of textout.CHUNK_PARTS rows."""
-    textout.write_chunks(sys.stdout, rows if header is None else chain((header + "\n",), rows))
-
-
 def _zeta_json_parts(columns: list[tuple[int, ...]], mism: int | None):
     """The JSON payload of ``zeta`` and its newline, as json.dumps writes
     them, in parts of CHUNK_PARTS numbers, from whole tables (entry 0 skipped)."""
-    import json
     for key, column in zip(("",) if mism is None else ('{"formula": ', ', "enumerated": '), columns):
-        yield key + "["
-        for k in range(1, len(column), textout.CHUNK_PARTS):
-            yield ", " * (k > 1) + json.dumps(column[k : k + textout.CHUNK_PARTS])[1:-1]
-        yield "]"
+        yield key
+        yield from textout.json_ints(column, 1)
     yield "\n" if mism is None else f', "mismatches": {mism}}}\n'
 
 
@@ -103,12 +93,9 @@ def _cmd_zeta(args) -> int:
     mism = sum(map(ne, *columns)) if len(columns) == 2 else None
     if args.format == "json":
         sys.stdout.writelines(_zeta_json_parts(columns, mism))
-    elif mism is None:
-        header = "n,coefficient" if args.header else None
-        _write_csv(header, (f"{i},{c}\n" for i, c in islice(enumerate(columns[0]), 1, None)))
     else:
-        header = "n,formula,enumerated" if args.header else None
-        _write_csv(header, (f"{i},{f},{e}\n" for i, (f, e) in islice(enumerate(zip(*columns)), 1, None)))
+        header = ("n,coefficient" if mism is None else "n,formula,enumerated") if args.header else None
+        textout.write_csv(sys.stdout, header, [range(len(columns[0])), *columns], 1)
     if mism is not None:
         print(f"mismatches: {mism}", file=sys.stderr)
     return 0
@@ -147,7 +134,7 @@ def _cmd_member(args) -> int:
 
 def _cmd_goormaghtigh(args) -> int:
     rows = supernatural.goormaghtigh_search(args.bound)
-    _write_csv("x,y,n,m,value" if args.header else None, (",".join(map(str, row)) + "\n" for row in rows))
+    textout.write_csv(sys.stdout, "x,y,n,m,value" if args.header else None, [*zip(*rows)])
     if any(row[4] == 8191 for row in rows):
         print(f"note: {supernatural.GOORMAGHTIGH_8191_NOTE}", file=sys.stderr)
     return 0

@@ -12,6 +12,8 @@ import pytest
 from m2z.bigpicture import ball, export_dot, export_json, parse_vertex
 from m2z.cli import main
 from m2z.supernatural import MoebiusMatrix, moebius_apply, parse_supernatural
+from m2z import zeta
+from m2z.textout import CHUNK_PARTS
 from m2z.zeta import MAX_ZETA_TERMS, count_primitive_by_det, psi_coeffs
 
 
@@ -206,6 +208,30 @@ class TestZetaCommand:
         assert code == 0
         assert out == "n,coefficient\n" + "".join(f"{i},1\n" for i in range(1, 40001))
         assert len(writes) > 2
+
+    @pytest.mark.parametrize("terms", [1, CHUNK_PARTS - 1, CHUNK_PARTS, CHUNK_PARTS + 1, 2 * CHUNK_PARTS + 1])
+    @pytest.mark.parametrize("which, formula, enumeration", [
+        ("M", zeta.sigma_coeffs, zeta.count_classes_by_det),
+        ("P", zeta.psi_coeffs, zeta.count_primitive_by_det),
+        ("Pbar", zeta.axpb_count, zeta.axpb_count),
+    ])
+    @pytest.mark.parametrize("mode", ["formula", "both"])
+    def test_block_edges_write_the_row_at_a_time_text(self, capsys, terms, which, formula, enumeration, mode):
+        f, e = formula(terms).coeffs[1:], enumeration(terms).coeffs[1:]
+        if mode == "formula":
+            header, csv = "n,coefficient\n", "".join(f"{n},{c}\n" for n, c in enumerate(f, 1))
+            dumped, err = json.dumps(f), ""
+        else:
+            header, csv = "n,formula,enumerated\n", "".join(f"{n},{c},{d}\n" for n, c, d in zip(range(1, terms + 1), f, e))
+            dumped, err = json.dumps({"formula": f, "enumerated": e, "mismatches": 0}), "mismatches: 0\n"
+        for options, out in [
+            ((), csv),
+            (("--header",), header + csv),
+            (("--format", "json"), dumped + "\n"),
+            (("--format", "json", "--header"), dumped + "\n"),
+        ]:
+            argv = ("zeta", "--which", which, "--terms", str(terms), "--mode", mode, *options)
+            assert run(capsys, *argv) == (0, out, err), argv
 
     @pytest.mark.parametrize("mode", ["formula", "both"])
     def test_long_json_is_the_dumps_text_written_in_chunks(self, capsys, monkeypatch, mode):
@@ -572,12 +598,19 @@ print(json.dumps([code, {_EXECUTED}, loaded]))
 """
 
 
+# unexecuted: the m2z modules, and json, that the call must not run; the
+# tables are integers, written by textout's % formats without json
 @pytest.mark.parametrize(
     "argv, unexecuted",
     [
         (("hnf", "0,1;2,0"), {"bigpicture", "localposet", "supernatural", "textout", "zeta"}),
-        (("zeta", "--which", "M", "--terms", "10"), {"bigpicture", "localposet", "matrices", "supernatural"}),
+        (("zeta", "--which", "M", "--terms", "10"), {"bigpicture", "localposet", "matrices", "supernatural", "json"}),
         (("ext", "equiv", "2^1", "2^3"), {"bigpicture", "localposet", "textout", "zeta"}),
+        (
+            ("zeta", "--which", "P", "--terms", "2000", "--mode", "both", "--format", "json"),
+            {"bigpicture", "localposet", "matrices", "supernatural", "json"},
+        ),
+        (("goormaghtigh", "--bound", "10000", "--header"), {"bigpicture", "localposet", "zeta", "json"}),
     ],
 )
 def test_a_call_runs_only_the_modules_of_its_subcommand(argv, unexecuted):
@@ -585,7 +618,7 @@ def test_a_call_runs_only_the_modules_of_its_subcommand(argv, unexecuted):
     assert result.stderr == ""
     code, executed, loaded = json.loads(result.stdout)
     assert code == 0
-    assert not unexecuted & set(executed)
+    assert not unexecuted & {*executed, *loaded}
     assert "fractions" not in loaded  # nothing in these calls builds a rational
 
 

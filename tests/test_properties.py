@@ -4,6 +4,7 @@ extension classes and the local posets rest on, and for the CLI contract."""
 import io
 import json
 import re
+import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
@@ -12,6 +13,7 @@ from functools import reduce
 from itertools import combinations, product
 from operator import matmul
 from math import gcd, lcm, prod
+from unittest.mock import patch
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -53,6 +55,7 @@ from m2z.supernatural import (
     prime_power_witness,
     s_of,
 )
+from m2z import textout
 from m2z.zeta import count_classes_by_det, count_primitive_by_det, psi_coeffs, sigma_coeffs
 
 entries = st.integers(min_value=-30, max_value=30)
@@ -123,6 +126,41 @@ def test_hyperbola_split_visits_every_pair_once():
     for n in SPLIT_SIZES:  # the coefficient of n does not depend on the table's length
         assert count_classes_by_det(n).coeffs == tuple(classes[: n + 1]), n
         assert count_primitive_by_det(n).coeffs == tuple(primitive[: n + 1]), n
+
+
+class Writes(list):
+    write = list.append
+
+
+# ints of either sign, some over the 4,300 digits that str refuses by default
+table_ints = st.one_of(
+    st.integers(),
+    st.builds(lambda digits, sign: sign * (10**digits - 1), st.integers(4301, 4400), st.sampled_from([1, -1])),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(lambda width: st.lists(st.tuples(*[table_ints] * width), max_size=40)),
+    st.integers(0, 41),
+    st.one_of(st.none(), st.just("a,b")),
+    st.sampled_from([1, 2, 3, textout.CHUNK_PARTS]),
+)
+def test_block_writers_write_the_str_and_json_dumps_text(rows, start, header, chunk):
+    columns = [*zip(*rows)]
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # as cli.main lifts it
+    try:
+        csv = "".join(",".join(f"{field}" for field in row) + "\n" for row in rows[start:])
+        arrays = [json.dumps(column[start:]) for column in columns]
+        writes = Writes()
+        with patch.object(textout, "CHUNK_PARTS", chunk):
+            textout.write_csv(writes, header, columns, start)
+            assert ["".join(textout.json_ints(column, start)) for column in columns] == arrays
+    finally:
+        sys.set_int_max_str_digits(digits)
+    assert "".join(writes) == ("" if header is None else header + "\n") + csv
+    assert all(0 < text.count("\n") <= chunk for text in writes)
 
 
 def member_by_factoring(x: ExtMatrix, u: Fraction, v: Fraction) -> bool:
