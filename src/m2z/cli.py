@@ -30,23 +30,17 @@ def _cmd_hnf(args) -> int:
     return 0
 
 
-def _parse_class(text: str):
-    """(class, vertex) of a vertex or matrix literal; the vertex is None for
-    an imprimitive class."""
-    if "=" in text:
-        vertex = bigpicture.parse_vertex(text)
-        return bigpicture.embed(vertex), vertex
-    m = matrices.hnf(matrices.parse_matrix(text))
-    return m, (bigpicture.unembed(m) if m.is_primitive else None)
+def _read_class(text: str) -> matrices.MatrixClass:
+    """The class of a vertex literal "M=num/den,r=g/h" or a matrix literal "a,b;c,d"."""
+    return bigpicture._vertex_class(text) if "=" in text else matrices.hnf(matrices.parse_matrix(text))
 
 
 def _cmd_dist(args) -> int:
     import json
-    mx, vx = _parse_class(args.x)
-    my, vy = _parse_class(args.y)
+    mx, my = _read_class(args.x), _read_class(args.y)
     d = matrices.hyper_distance(mx, my)
-    if vx is not None and vy is not None:
-        via = bigpicture.delta_direct(vx, vy)
+    if mx.is_primitive and my.is_primitive:  # both are vertices of the picture
+        via = bigpicture.delta_direct(bigpicture.unembed(mx), bigpicture.unembed(my))
         payload = {"delta": d, "via_alpha": via, "agree": via == d}
     else:
         payload = {"delta": d, "via_alpha": None, "agree": None}
@@ -55,7 +49,7 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_ball(args) -> int:
-    m = bigpicture._vertex_class(args.center) if "=" in args.center else matrices.hnf(matrices.parse_matrix(args.center))
+    m = _read_class(args.center)
     if m.det == 1:  # the origin, whose ball is streamed
         vertices, edges, *graph = bigpicture.origin_ball(args.radius)
     else:

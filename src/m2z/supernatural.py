@@ -22,7 +22,7 @@ differ.
 from __future__ import annotations
 
 import re
-from itertools import combinations
+from itertools import combinations, groupby
 from math import gcd, isqrt, lcm, log2, prod
 from operator import itemgetter
 
@@ -416,9 +416,9 @@ GOORMAGHTIGH_8191_NOTE = (
 )
 
 
-# ``m2z goormaghtigh`` peaked at 293 MB RSS in 3.8 s at bound 10^18 (1,037,545
-# repunits stored) and at 308 MB in 3.9 s at 1.19 * 10^18, the largest bound
-# under MAX_REPUNITS.
+# MAX_REPUNITS bounds the work of ``m2z goormaghtigh``, not its memory: it visits
+# each repunit of length >= 4 once, 1,037,545 of them in about 3.5 s at 10^18 and
+# 1.1 * 10^6 at 1.19 * 10^18, peaking at the 15 MB RSS of a --bound 100 call.
 MAX_REPUNITS = 1_100_000
 
 
@@ -433,41 +433,42 @@ def _max_base(bound: int, n: int) -> int:
     return x
 
 
+def _repunits(n: int, bases: range):
+    """(value, x, n) for the length-n repunit of each base x, ascending (a
+    function, so that each stream keeps its own n)."""
+    return (((x**n - 1) // (x - 1), x, n) for x in bases)
+
+
 def goormaghtigh_search(bound: int) -> list[tuple[int, int, int, int, int]]:
     """All coincidences (x^n-1)/(x-1) = (y^m-1)/(y-1) = value <= bound with
     2 <= x < y and n > m >= 3; sorted by value, then by (x, y).
 
     Both repunits must be genuinely multi-digit (m >= 3); the trivial family
-    with m = 2 (value = y + 1) is excluded.  Only the repunits of length >= 4
-    are hashed, O(bound^(1/3)) of them.  A length-3 partner y of a value v is
-    found by one square test, v = y^2 + y + 1 iff 4v - 3 = (2y + 1)^2, and
-    its base exceeds every base of a longer repunit of v.  Above
-    MAX_REPUNITS stored repunits MemoryError is raised before any is built.
+    with m = 2 (value = y + 1) is excluded.  The repunits of length >= 4,
+    O(bound^(1/3)) of them, ascend with the base at each length, so a merge
+    of the per-length streams brings each value's bases together, ascending.
+    A length-3 partner y of a value v is found by one square test, v = y^2 +
+    y + 1 iff 4v - 3 = (2y + 1)^2, and its base exceeds every base of a
+    longer repunit of v.  Above MAX_REPUNITS repunits to visit MemoryError
+    is raised before any is built.
     """
+    from heapq import merge
     if bound < 1:
         raise ValueError("bound must be positive")
-    stored, n = 0, 4
+    ranges, n = [], 4
     while 2**n - 1 <= bound:  # the base-2 repunit of length n
-        stored += _max_base(bound, n) - 1
-        if stored > MAX_REPUNITS:
-            raise MemoryError(f"a search to {bound} hashes over {MAX_REPUNITS} repunits")
+        ranges.append(range(2, _max_base(bound, n) + 1))
+        if sum(r.stop - 2 for r in ranges) > MAX_REPUNITS:  # len() overflows past 2^63 bases
+            raise MemoryError(f"a search to {bound} visits over {MAX_REPUNITS} repunits")
         n += 1
-    hits: dict[int, list[tuple[int, int]]] = {}
-    x = 2
-    while (value := ((x + 1) * x + 1) * x + 1) <= bound:  # the length-4 repunit in base x
-        n = 4
-        while value <= bound:
-            hits.setdefault(value, []).append((x, n))
-            value = value * x + 1
-            n += 1
-        x += 1
     out = []
-    for value, found in hits.items():  # bases ascend, so lengths descend
+    for value, run in groupby(merge(*(_repunits(n, bases) for n, bases in enumerate(ranges, 4))), itemgetter(0)):
+        found = [(x, n) for _, x, n in run]  # bases ascend, so lengths descend
         r = isqrt(4 * value - 3)
         if r * r == 4 * value - 3:
             found.append(((r - 1) // 2, 3))
         out += [(x1, x2, n1, n2, value) for (x1, n1), (x2, n2) in combinations(found, 2)]
-    return sorted(out, key=itemgetter(4))
+    return out
 
 
 def goormaghtigh_witness(p: int, k: int, q: int, r: int, l: int) -> MoebiusMatrix | None:

@@ -592,20 +592,21 @@ before = set(sys.modules)
 from m2z.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = main(sys.argv[1:])
-loaded = [name for name in ("fractions", "json") if name in set(sys.modules) - before]  # taken before the probe imports json
+loaded = [name for name in ("fractions", "heapq", "json") if name in set(sys.modules) - before]  # taken before the probe imports json
 import json
 print(json.dumps([code, {_EXECUTED}, loaded]))
 """
 
 
-# unexecuted: the m2z modules, and json, that the call must not run; the
-# tables are integers, written by textout's % formats without json
+# unexecuted: the m2z modules, and json and heapq, that the call must not run;
+# the tables are integers, written by textout's % formats without json, and
+# only the goormaghtigh search merges with heapq
 @pytest.mark.parametrize(
     "argv, unexecuted",
     [
         (("hnf", "0,1;2,0"), {"bigpicture", "localposet", "supernatural", "textout", "zeta"}),
         (("zeta", "--which", "M", "--terms", "10"), {"bigpicture", "localposet", "matrices", "supernatural", "json"}),
-        (("ext", "equiv", "2^1", "2^3"), {"bigpicture", "localposet", "textout", "zeta"}),
+        (("ext", "equiv", "2^1", "2^3"), {"bigpicture", "localposet", "textout", "zeta", "heapq"}),
         (
             ("zeta", "--which", "P", "--terms", "2000", "--mode", "both", "--format", "json"),
             {"bigpicture", "localposet", "matrices", "supernatural", "json"},

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from math import isqrt
 
 import pytest
@@ -433,21 +433,36 @@ class TestGoormaghtigh:
     def test_first_solution(self):
         assert goormaghtigh_search(31) == [(2, 5, 5, 3, 31)]
 
-    def test_matches_hashing_every_repunit(self):
-        # the search it replaced: hash the repunits of every length >= 3
-        bound = 10**6
-        hits = {}
-        for x in range(2, isqrt(bound) + 1):
-            value, n = x * x + x + 1, 3
-            while value <= bound:
+    @staticmethod
+    def hashed(bound, shortest):
+        """The search the merged streams replaced: hash every repunit of length
+        >= shortest up to bound; from 4 up, add each value's length-3 partner
+        by the square test 4v - 3 = (2y + 1)^2."""
+        hits, x = {}, 2
+        while (value := (x**shortest - 1) // (x - 1)) <= bound:
+            for n in count(shortest):
+                if value > bound:
+                    break
                 hits.setdefault(value, []).append((x, n))
-                value, n = value * x + 1, n + 1
-        expected = [
-            (x1, x2, n1, n2, v) for v in sorted(hits) for (x1, n1), (x2, n2) in combinations(hits[v], 2)
-        ]
+                value = value * x + 1
+            x += 1
+        for value, found in hits.items():
+            r = isqrt(4 * value - 3)
+            if shortest == 4 and r * r == 4 * value - 3:
+                found.append(((r - 1) // 2, 3))
+        return [(x1, x2, n1, n2, v) for v in sorted(hits) for (x1, n1), (x2, n2) in combinations(hits[v], 2)]
+
+    def test_matches_hashing_every_repunit(self):
+        bound = 2**20
+        expected = self.hashed(bound, 3)
         assert expected == [(2, 5, 5, 3, 31), (2, 90, 13, 3, 8191)]
-        for b in (1, 7, 30, 31, 8190, 8191, bound):
-            assert goormaghtigh_search(b) == [row for row in expected if row[4] <= b]
+        stream_edges = [2**n + k for n in range(4, 21) for k in (-2, -1, 0)]  # around each length's first repunit
+        length4_edges = [(x**4 - 1) // (x - 1) + k for x in (2, 3, 5, 17, 90, 101) for k in (-1, 0, 1)]
+        for b in (1, 7, 30, 31, 8190, 8191, 10**6, *stream_edges, *length4_edges):
+            assert goormaghtigh_search(b) == [row for row in expected if row[4] <= b], b
+
+    def test_matches_hashing_the_longer_repunits_at_10_to_the_12(self):
+        assert goormaghtigh_search(10**12) == self.hashed(10**12, 4) == [(2, 5, 5, 3, 31), (2, 90, 13, 3, 8191)]
 
     def test_size_guard(self):
         # about 1.1 * 10^6 repunits of length >= 4 lie below 1.19 * 10^18
@@ -455,6 +470,15 @@ class TestGoormaghtigh:
         for bound in (2 * 10**18, 10**24, 10**400):
             with pytest.raises(MemoryError):
                 goormaghtigh_search(bound)
+
+    def test_size_guard_accepts_exactly_max_repunits(self, monkeypatch):
+        bound = 10**6
+        visits = sum((x**n - 1) // (x - 1) <= bound for x in range(2, 101) for n in range(4, 21))
+        monkeypatch.setattr("m2z.supernatural.MAX_REPUNITS", visits)
+        assert goormaghtigh_search(bound) == [(2, 5, 5, 3, 31), (2, 90, 13, 3, 8191)]
+        monkeypatch.setattr("m2z.supernatural.MAX_REPUNITS", visits - 1)
+        with pytest.raises(MemoryError):
+            goormaghtigh_search(bound)
 
     def test_note_is_documented(self):
         assert "(90^2-1)/(90-1) = 91" in GOORMAGHTIGH_8191_NOTE
