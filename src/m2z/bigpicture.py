@@ -11,8 +11,9 @@ classical one computed from the alpha-matrices (M, g/h; 0, 1).  Two vertices
 are joined by an edge when their distance is prime.  A vertex's neighbours
 above it at each prime are known in closed form, so the ball around the origin
 (the primitive classes of bounded determinant) is streamed vertex by vertex,
-then edge by edge; a ball around any other vertex is that ball moved by the
-embedded centre, since the picture is homogeneous.
+then edge by edge.  The picture is homogeneous: right multiplication by the
+embedded centre moves the origin ball onto any other ball, and as both are
+upper triangular the product of two classes is one gcd away from a class.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from math import gcd, isqrt, lcm, prod
 from operator import attrgetter
 
 from .errors import NotPrimitive
-from .matrices import _RATIONAL, IntMatrix2, MatrixClass, _numbers, divides, hnf, hyper_distance, primitive_decompose
+from .matrices import _RATIONAL, MatrixClass, _numbers, divides, hyper_distance
 from .primes import factor, primes_up_to
 from .record import Frozen
 from .textout import write_chunks
@@ -39,7 +40,7 @@ __all__ = [
     "delta_direct",
     "bp_leq",
     "ball",
-    "origin_ball",
+    "ball_stream",
     "export_dot",
     "export_json",
     "parse_vertex",
@@ -144,13 +145,13 @@ def bp_leq(x: BigPictureVertex, y: BigPictureVertex) -> bool:
     return divides(embed(x), embed(y))
 
 
-# At radius 725 (399,490 vertices) ``m2z ball`` peaked at 18 MB RSS around the
-# origin, which is streamed, and 189 MB around a centre of det ~2^123, which is
-# built, in JSON and in DOT.  Moved classes carry the centre's digits, about
-# 2 bytes per bit of det embed(centre) (2.4 KB per vertex at det ~2^761 against
-# 0.9 KB at the origin), so a vertex weighs one more per BALL_VERTEX_BITS bits:
-# 128 kept the heaviest weight-1 ball within about twice a built origin ball
-# (302 MB against 155 MB).
+# At radius 725 (399,490 vertices) ``m2z ball`` peaked at 16 MB RSS around the
+# origin, which is streamed, and at 145 MB around (2, 1; 0, 3) and 164 MB around
+# a centre of det just below 2^128, whose moved classes and edges are held, in
+# JSON and in DOT.  Moved classes carry the centre's digits, about half a byte
+# per bit of det center per vertex (1.8 KB at det ~2^3327), so a vertex weighs
+# one more per BALL_VERTEX_BITS bits: the heaviest ball of each weight then
+# peaks below the weight-1 one (94 MB at weight 2, 52 MB at 6, 46 MB at 26).
 MAX_BALL_VERTICES = 400_000
 BALL_VERTEX_BITS = 128
 
@@ -163,31 +164,43 @@ def _upper_neighbours(a: int, b: int, d: int, p: int) -> list[tuple[int, int, in
     return lifts + [(p * a, b * p % d, d)] if d % p else lifts
 
 
-def origin_ball(
-    radius: int, weight: int = 1
+def ball_stream(
+    center: MatrixClass, radius: int
 ) -> tuple[int, int, Iterator[tuple[int, int, int]], Iterator[tuple[int, int, int]]]:
-    """The ball of ``radius`` around the origin, streamed: its numbers of
-    vertices and of edges, then one-pass iterators of its classes, as canonical
-    triples (a, b, d), and of its edges (i, j, p), as ``ball`` orders them.
-    The size guard of ``ball``, each vertex weighing ``weight``, runs first;
-    only O(R log R) numbers are held.
+    """The ball of ``radius`` around the primitive class ``center``, streamed:
+    its numbers of vertices and of edges, then one-pass iterators of its
+    classes, as canonical triples (a, b, d) ascending by (det, a, b), and of
+    its edges (i, j, p), i < j, ascending.  NotPrimitive is raised for a
+    centre with content, then ValueError for a radius below 1, then
+    MemoryError if the sum_{n <= R} psi(n) vertices, each weighing
+    1 + bits(det center) // BALL_VERTEX_BITS, outweigh MAX_BALL_VERTICES.
 
-    Vertex i's edges go to its upper neighbours of det <= R, prime by prime.
-    The classes with diagonal (a, d) form a block from start[a, d], in which b
+    Around the origin the ball is the primitive (a, b; 0, d) with ad <= R,
+    and only O(R log R) numbers are held.  Vertex i's edges go to its upper
+    neighbours of det <= R (``_upper_neighbours``), prime by prime.  The
+    classes with diagonal (a, d) form a block from start[a, d], in which b
     runs through the b in [0, d) coprime to c = gcd(a, d); so b sits at
     start[a, d] + (b // c) * phi(c) + #{r < b mod c : gcd(r, c) = 1}, read
     from a table per c (c^2 | ad, so c <= isqrt(R)).  If gcd(a, p*d) = 1, every
     lift (a, b + k*d; 0, p*d) is primitive and sits at start[a, p*d] + b + k*d.
+
+    Around another centre (A, B; 0, D) each origin class is moved by right
+    multiplication, an isometry: (a, b; 0, d)(A, B; 0, D) = (aA, aB + bD; 0, dD)
+    is upper triangular, so its class is (aA, (aB + bD) mod dD; 0, dD), divided
+    by its content.  The moved classes are sorted, the edges re-ranked and sorted.
     """
+    if not center.is_primitive:
+        raise NotPrimitive(f"{center} has content {center.content}")
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    limit = MAX_BALL_VERTICES // weight
+    limit = MAX_BALL_VERTICES // (1 + center.det.bit_length() // BALL_VERTEX_BITS)
     too_large = MemoryError(f"a ball of radius {radius} has over {limit} vertices")
     if radius * (radius + 1) // 2 > limit:  # psi(n) >= n: a huge radius is never factored
         raise too_large
     primes = [list(factor(n)) for n in range(1, radius + 1)]
     psi = [n // prod(ps) * prod(p + 1 for p in ps) for n, ps in enumerate(primes, 1)]
-    if sum(psi) > limit:
+    vertices = sum(psi)
+    if vertices > limit:
         raise too_large
     small = primes_up_to(radius)
     # units_below[c][s] = #{r < s : gcd(r, c) = 1}, so units_below[c][c] = phi(c)
@@ -226,42 +239,31 @@ def origin_ball(
                         yield i, index(*w), p
 
     degrees = sum(k * len(ps) for k, ps in zip(psi, primes))  # each vertex has one edge down per prime of det
-    return sum(psi), degrees, members(), edges()
+    if center.det == 1:  # the origin
+        return vertices, degrees, members(), edges()
+    A, B, D = center.a, center.b, center.d
+    moved = []
+    for a, b, d in members():
+        x, y, z = a * A, a * B + b * D, d * D
+        c = gcd(x, y, z)
+        moved.append((x // c, y % z // c, z // c))
+    order = sorted(range(vertices), key=lambda i: (moved[i][0] * moved[i][2], moved[i][0], moved[i][1]))
+    classes = list(map(moved.__getitem__, order))
+    rank = [0] * vertices
+    for new, old in enumerate(order):
+        rank[old] = new
+    del moved, order  # the edges need only ``rank``: free the rest before sorting them
+    moved_edges = sorted((min(rank[i], rank[j]), max(rank[i], rank[j]), p) for i, j, p in edges())
+    return vertices, degrees, iter(classes), iter(moved_edges)
 
 
 def ball(center: BigPictureVertex, radius: int) -> PictureGraph:
     """All vertices within hyper-distance ``radius`` of ``center``, plus the
-    prime-weight edges among them.
-
-    Around the origin the ball is the primitive classes (a, b; 0, d) with
-    ad <= radius, streamed by ``origin_ball`` vertex by vertex, then edge by
-    edge.  Z^2 / L_v is cyclic for a primitive v, so v has p + 1 - [p | ad]
-    neighbours above it at each prime p: the primitive (a, b + k*d; 0, p*d)
-    for k < p, and (p*a, b*p mod d; 0, d) if p does not divide d.  Vertices
-    ascend by determinant of the embedding, then by representative, so vertex
-    i's edges are those to its upper neighbours.  Another centre's ball is the
-    origin ball moved by v -> primitive part of v * embed(center), sorted,
-    with its edges re-ranked.
-
-    A ball of radius R has sum_{n <= R} psi(n) vertices, each weighing
-    1 + bits(det embed(center)) // BALL_VERTEX_BITS; above a total weight of
-    MAX_BALL_VERTICES = 400,000 (radius 726 and up for a centre of det below
-    2^128) MemoryError is raised before anything is built.
-    """
-    e = embed(center)
-    _, _, triples, edges = origin_ball(radius, 1 + e.det.bit_length() // BALL_VERTEX_BITS)
-    if e.det == 1:  # the origin
-        return PictureGraph(tuple(starmap(MatrixClass, triples)), tuple(edges))
-    g = e.to_matrix()
-    moved = [primitive_decompose(hnf(IntMatrix2(a, b, 0, d) @ g))[1] for a, b, d in triples]
-    order = sorted(range(len(moved)), key=lambda i: (moved[i].det, moved[i].a, moved[i].b))
-    classes = tuple(map(moved.__getitem__, order))
-    rank = [0] * len(order)
-    for new, old in enumerate(order):
-        rank[old] = new
-    del moved, order  # the edges need only ``rank``: free the rest before sorting them
-    edges = sorted((min(rank[i], rank[j]), max(rank[i], rank[j]), p) for i, j, p in edges)
-    return PictureGraph(classes, tuple(edges))
+    prime-weight edges among them, in the order of ``ball_stream(embed(center),
+    radius)``, whose size guard raises MemoryError before anything is built
+    (radius 726 and up for a centre of det below 2^128)."""
+    _, _, triples, edges = ball_stream(embed(center), radius)
+    return PictureGraph(tuple(starmap(MatrixClass, triples)), tuple(edges))
 
 
 def _ratio(num: int, den: int) -> str:
@@ -302,7 +304,7 @@ def export_dot(g: PictureGraph, out: TextIOBase | None = None) -> str | None:
     """Deterministic undirected DOT text; byte-identical for equal inputs.
 
     ``g`` is a PictureGraph or a pair (triples, edges) of iterables, each read
-    once and in order, such as the streams of ``origin_ball``: canonical
+    once and in order, such as the streams of ``ball_stream``: canonical
     triples (a, b, d) of primitive classes and edges (i, j, p).
     Returned as one string, or, given a text stream ``out``, written to it in
     chunks of textout.CHUNK_PARTS lines (the same text, never held whole) and

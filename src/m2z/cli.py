@@ -49,12 +49,7 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_ball(args) -> int:
-    m = _read_class(args.center)
-    if m.det == 1:  # the origin, whose ball is streamed
-        vertices, edges, *graph = bigpicture.origin_ball(args.radius)
-    else:
-        graph = bigpicture.ball(bigpicture.unembed(m), args.radius)
-        vertices, edges = len(graph.classes), len(graph.edges)
+    vertices, edges, *graph = bigpicture.ball_stream(_read_class(args.center), args.radius)
     if args.format == "dot":
         bigpicture.export_dot(graph, sys.stdout)
     else:

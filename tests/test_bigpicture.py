@@ -9,13 +9,13 @@ import pytest
 from m2z.bigpicture import (
     BigPictureVertex,
     ball,
+    ball_stream,
     bp_leq,
     delta,
     delta_direct,
     embed,
     export_dot,
     export_json,
-    origin_ball,
     parse_vertex,
     unembed,
     PictureGraph,
@@ -236,6 +236,11 @@ class TestBall:
         with pytest.raises(MemoryError):
             ball(ONE, 10**12)
 
+    def test_stream_refuses_a_non_primitive_centre_before_the_size_guard(self):
+        for radius in (0, 3, 10**12):
+            with pytest.raises(NotPrimitive, match="^2,0;0,2 has content 2$"):
+                ball_stream(MatrixClass(2, 0, 2), radius)
+
     def test_size_guard_weighs_the_centre(self):
         # det embed(centre) has 3325 bits, so each vertex weighs 1 + 3325 // 128 = 26
         center = BigPictureVertex.of(Fraction(10**400 + 1, 7), Fraction(1, 10**300 + 7))
@@ -283,7 +288,7 @@ class TestExport:
         as_dot = [f'  n{i} [label="M={M} r={r}", det={det}];' for i, (M, r, det) in enumerate(oracle)]
         sources = [lambda: graph]
         if center == ONE:  # and the streamed (triples, edges) pair
-            sources.append(lambda: origin_ball(radius)[2:])
+            sources.append(lambda: ball_stream(MatrixClass(1, 0, 1), radius)[2:])
         for source in sources:
             assert json.loads(export_json(source()))["vertices"] == as_json
             assert export_dot(source()).splitlines()[1 : 1 + len(oracle)] == as_dot

@@ -144,6 +144,10 @@ class TestBallCommand:
         assert len(writes) > 2
         assert max(map(len, writes)) < len(out)
 
+    def test_non_primitive_centre_is_a_domain_error(self, capsys):
+        code, out, err = run(capsys, "ball", "2,0;0,2", "--radius", "3")
+        assert (code, out, err) == (1, "", "error: NotPrimitive: 2,0;0,2 has content 2\n")
+
     def test_first_ball_over_the_guard_writes_nothing(self, capsys):
         # sum_{n <= 726} psi(n) = 401,074: the streamed origin ball is refused before its first byte
         code, out, err = run(capsys, "ball", "M=1,r=0", "--radius", "726")
@@ -623,14 +627,15 @@ def test_a_call_runs_only_the_modules_of_its_subcommand(argv, unexecuted):
     assert "fractions" not in loaded  # nothing in these calls builds a rational
 
 
-@pytest.mark.parametrize("center", ["M=1,r=0", "1,0;0,1"])
+# off the origin too: an integer or matrix centre is moved in integers, never unembedded
+@pytest.mark.parametrize("center", ["M=1,r=0", "1,0;0,1", "2,1;0,3", "M=2,r=0"])
 def test_an_origin_ball_call_runs_bigpicture_and_loads_no_fractions_or_json(center):
     result = _fresh_python("-c", _CALL_PROBE, "ball", center, "--radius", "3")
     assert result.stderr == ""
     code, executed, loaded = json.loads(result.stdout)
     assert code == 0 and "bigpicture" in executed
     assert not {"localposet", "supernatural", "zeta"} & set(executed)
-    assert loaded == []  # the origin ball is streamed as integer triples and written without json
+    assert loaded == []  # the ball is streamed as integer triples and written without json
 
 
 def test_a_module_whose_first_run_raised_runs_again_on_the_next_access():

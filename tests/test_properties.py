@@ -10,15 +10,15 @@ from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, product
+from itertools import combinations, product, starmap
 from operator import matmul
 from math import gcd, lcm, prod
 from unittest.mock import patch
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from m2z.bigpicture import BigPictureVertex, _upper_neighbours, ball, origin_ball, parse_vertex
+from m2z.bigpicture import BigPictureVertex, _upper_neighbours, ball, ball_stream, embed, parse_vertex
 from m2z.cli import main
 from m2z.errors import Degenerate, DomainError, NotAUnit, NotRepresentable
 from m2z.localposet import localize, upward_neighbors
@@ -359,8 +359,8 @@ def test_origin_ball_matches_the_meet_construction(radius):
 
 def edges_by_upper_neighbours(radius):
     # every upper neighbour from _upper_neighbours, looked up in a dict of the
-    # triple stream; origin_ball reads most lifts' indices as ranges instead
-    index = {m: i for i, m in enumerate(origin_ball(radius)[2])}
+    # triple stream; ball_stream reads most lifts' indices as ranges instead
+    index = {m: i for i, m in enumerate(ball_stream(MatrixClass(1, 0, 1), radius)[2])}
     primes = [p for p in range(2, radius + 1) if is_prime(p)]
     for (a, b, d), i in index.items():
         for p in (p for p in primes if p * a * d <= radius):
@@ -371,14 +371,50 @@ def edges_by_upper_neighbours(radius):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 150))
 def test_streamed_edges_match_the_upper_neighbours(radius):
-    assert list(origin_ball(radius)[3]) == list(edges_by_upper_neighbours(radius))
+    assert list(ball_stream(MatrixClass(1, 0, 1), radius)[3]) == list(edges_by_upper_neighbours(radius))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 80))
 def test_origin_ball_counts_are_its_stream_lengths(radius):
-    vertices, edges, classes, edge_stream = origin_ball(radius)
+    vertices, edges, classes, edge_stream = ball_stream(MatrixClass(1, 0, 1), radius)
     assert (vertices, edges) == (len(list(classes)), len(list(edge_stream)))
+
+
+def moved_ball_by_hnf(center, radius):
+    # the route ball_stream's closed form replaced: each origin class times
+    # the centre's matrix through hnf and primitive_decompose, then sorted by
+    # (det, a, b) with the edges re-ranked
+    _, _, triples, edges = ball_stream(MatrixClass(1, 0, 1), radius)
+    g = center.to_matrix()
+    moved = [prim(IntMatrix2(a, b, 0, d) @ g) for a, b, d in triples]
+    order = sorted(range(len(moved)), key=lambda i: (moved[i].det, moved[i].a, moved[i].b))
+    rank = {old: new for new, old in enumerate(order)}
+    ranked = sorted((min(rank[i], rank[j]), max(rank[i], rank[j]), p) for i, j, p in edges)
+    return tuple(map(moved.__getitem__, order)), tuple(ranked)
+
+
+@st.composite
+def primitive_centres(draw):
+    a = draw(st.integers(1, 10**6))
+    d = draw(st.integers(1, 10**6 // a))
+    b = draw(st.integers(0, d - 1))
+    assume(gcd(a, b, d) == 1)
+    return MatrixClass(a, b, d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(primitive_centres(), st.integers(1, 20))
+@example(MatrixClass(1, 0, 1), 30)
+@example(MatrixClass(2, 1, 3), 40)
+@example(MatrixClass(1, 0, 10**12 + 39), 20)
+@example(embed(parse_vertex("M=625/16,r=3/16")), 30)
+@example(embed(parse_vertex(f"M={2**123 + 1},r=1/3")), 60)  # det ~2^126
+def test_moved_ball_matches_the_hnf_route(center, radius):
+    vertices, edges, triples, edge_stream = ball_stream(center, radius)
+    classes, moved_edges = tuple(starmap(MatrixClass, triples)), tuple(edge_stream)
+    assert (classes, moved_edges) == moved_ball_by_hnf(center, radius)
+    assert (vertices, edges) == (len(classes), len(moved_edges))
 
 
 # hnf, meet and join against the definitions of their lattices: (u, v) lies
