@@ -84,7 +84,7 @@ def _cmd_zeta(args) -> int:
         sys.stdout.writelines(_zeta_json_parts(columns, mism))
     else:
         header = ("n,coefficient" if mism is None else "n,formula,enumerated") if args.header else None
-        textout.write_csv(sys.stdout, header, [range(len(columns[0])), *columns], 1)
+        textout.write_csv(sys.stdout, header, columns, 1)
     if mism is not None:
         print(f"mismatches: {mism}", file=sys.stderr)
     return 0
@@ -123,7 +123,7 @@ def _cmd_member(args) -> int:
 
 def _cmd_goormaghtigh(args) -> int:
     rows = supernatural.goormaghtigh_search(args.bound)
-    textout.write_csv(sys.stdout, "x,y,n,m,value" if args.header else None, [*zip(*rows)])
+    sys.stdout.write("x,y,n,m,value\n" * args.header + "%d,%d,%d,%d,%d\n" * len(rows) % sum(rows, ()))
     if any(row[4] == 8191 for row in rows):
         print(f"note: {supernatural.GOORMAGHTIGH_8191_NOTE}", file=sys.stderr)
     return 0

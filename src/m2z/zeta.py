@@ -12,13 +12,17 @@ hyperbola method in its symmetric form: (a, d) and (d, a) have the same
 product and gcd, so for each x <= isqrt(N) one slice coeffs[x*(x+1)::x] adds
 both orders of the pairs {x, y}, x < y <= N // x, and coeffs[x*x] the square
 x = y.  That is isqrt(N) slice assignments instead of N ln N loop steps.
+
+The formulas loop over odd n only, on a sieve of the odd primes: sigma and psi
+are multiplicative, so one slice per power 2^a <= N fills f(2^a * j) = f(2^a) *
+f(j), j odd, with sigma(2^a) = 2^(a+1) - 1 and psi(2^a) = 3 * 2^(a-1).
 """
 
 from __future__ import annotations
 
 from itertools import repeat
 from math import gcd, isqrt
-from operator import add
+from operator import add, mul
 
 from .errors import LengthMismatch
 from .primes import primes_up_to
@@ -77,13 +81,21 @@ def _check_terms(n: int):
 
 
 def _smallest_prime_factors(n: int) -> list[int]:
-    """spf[j] = the smallest prime factor of the composite j <= n; 0 for the
-    primes, 0 and 1."""
+    """spf[j] = the smallest prime factor of the odd composite j <= n; 0 for
+    the odd primes, 1 and every even j."""
     spf = [0] * (n + 1)
     # descending, so the smallest prime dividing j is the last to write spf[j]
-    for p in reversed(primes_up_to(isqrt(n))):
-        spf[p * p :: p] = [p] * len(range(p * p, n + 1, p))
+    for p in reversed(primes_up_to(isqrt(n))[1:]):
+        spf[p * p :: 2 * p] = [p] * len(range(p * p, n + 1, 2 * p))
     return spf
+
+
+def _fill_twos(coeffs: list[int], f) -> None:
+    """Fill the even entries of the multiplicative table ``coeffs`` from its odd
+    ones, one slice per 2^a <= n: coeffs[2^a * j] = f(a) * coeffs[j] for odd j."""
+    n = len(coeffs) - 1
+    for a in range(1, n.bit_length()):
+        coeffs[1 << a :: 2 << a] = map(mul, coeffs[1 : (n >> a) + 1 : 2], repeat(f(a)))
 
 
 def sigma_coeffs(n_terms: int) -> CoefficientTable:
@@ -93,7 +105,7 @@ def sigma_coeffs(n_terms: int) -> CoefficientTable:
     spf = _smallest_prime_factors(n_terms)
     coeffs = [0] * (n_terms + 1)
     coeffs[1] = 1
-    for n in range(2, n_terms + 1):
+    for n in range(3, n_terms + 1, 2):
         p = spf[n] or n
         m = n // p
         if m % p:
@@ -101,6 +113,7 @@ def sigma_coeffs(n_terms: int) -> CoefficientTable:
         else:  # sigma(p^k) = (p + 1) * sigma(p^(k-1)) - p * sigma(p^(k-2))
             coeffs[n] = coeffs[m] * (p + 1) - p * coeffs[m // p]
     del spf  # before the tuple copy, so the sieve and the copy never coexist
+    _fill_twos(coeffs, lambda a: (2 << a) - 1)
     return CoefficientTable(FULL_MONOID, tuple(coeffs))
 
 
@@ -111,11 +124,12 @@ def psi_coeffs(n_terms: int) -> CoefficientTable:
     spf = _smallest_prime_factors(n_terms)
     coeffs = [0] * (n_terms + 1)
     coeffs[1] = 1
-    for n in range(2, n_terms + 1):
+    for n in range(3, n_terms + 1, 2):
         p = spf[n] or n
         m = n // p
         coeffs[n] = coeffs[m] * p if m % p == 0 else coeffs[m] * (p + 1)
     del spf
+    _fill_twos(coeffs, lambda a: 3 << (a - 1))
     return CoefficientTable(BIG_PICTURE, tuple(coeffs))
 
 

@@ -12,7 +12,7 @@ import pytest
 from m2z.bigpicture import ball, export_dot, export_json, parse_vertex
 from m2z.cli import main
 from m2z.supernatural import MoebiusMatrix, moebius_apply, parse_supernatural
-from m2z import zeta
+from m2z import supernatural, zeta
 from m2z.textout import CHUNK_PARTS
 from m2z.zeta import MAX_ZETA_TERMS, count_primitive_by_det, psi_coeffs
 
@@ -213,7 +213,11 @@ class TestZetaCommand:
         assert out == "n,coefficient\n" + "".join(f"{i},1\n" for i in range(1, 40001))
         assert len(writes) > 2
 
-    @pytest.mark.parametrize("terms", [1, CHUNK_PARTS - 1, CHUNK_PARTS, CHUNK_PARTS + 1, 2 * CHUNK_PARTS + 1])
+    # the JSON parts' edges, and the decimal blocks' edges, where a row number gains a digit
+    @pytest.mark.parametrize("terms", [
+        1, CHUNK_PARTS - 1, CHUNK_PARTS, CHUNK_PARTS + 1, 2 * CHUNK_PARTS + 1,
+        999, 1000, 1001, 1999, 2001, 9999, 10000, 10001,
+    ])
     @pytest.mark.parametrize("which, formula, enumeration", [
         ("M", zeta.sigma_coeffs, zeta.count_classes_by_det),
         ("P", zeta.psi_coeffs, zeta.count_primitive_by_det),
@@ -468,6 +472,15 @@ class TestGoormaghtighCommand:
         code, out, _ = run(capsys, "goormaghtigh", "--bound", "30", "--header")
         assert code == 0
         assert out == "x,y,n,m,value\n"
+
+    @pytest.mark.parametrize("bound, rows", [(30, 0), (10**9, 2)])
+    @pytest.mark.parametrize("header", [False, True])
+    def test_rows_are_the_f_string_text(self, capsys, bound, rows, header):
+        found = supernatural.goormaghtigh_search(bound)
+        assert len(found) == rows
+        text = "x,y,n,m,value\n" * header + "".join(f"{x},{y},{n},{m},{value}\n" for x, y, n, m, value in found)
+        code, out, _ = run(capsys, "goormaghtigh", "--bound", str(bound), *["--header"] * header)
+        assert (code, out) == (0, text)
 
     def test_note_emitted_at_second_solution(self, capsys):
         code, out, err = run(capsys, "goormaghtigh", "--bound", "10000")

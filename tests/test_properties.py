@@ -141,26 +141,32 @@ table_ints = st.one_of(
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.integers(1, 4).flatmap(lambda width: st.lists(st.tuples(*[table_ints] * width), max_size=40)),
-    st.integers(0, 41),
+    st.integers(1, 4).flatmap(lambda width: st.tuples(st.just(width), st.lists(st.tuples(*[table_ints] * width), max_size=40))),
+    st.sampled_from([0, 960, 1000, 1990, 9985]),
+    st.integers(-1100, 41),
     st.one_of(st.none(), st.just("a,b")),
     st.sampled_from([1, 2, 3, textout.CHUNK_PARTS]),
 )
-def test_block_writers_write_the_str_and_json_dumps_text(rows, start, header, chunk):
-    columns = [*zip(*rows)]
+def test_block_writers_write_the_str_and_json_dumps_text(drawn, lead, shift, header, chunk):
+    # the drawn rows follow `lead` rows of n + c in column c, so the rows from
+    # `start` reach the decimal blocks of 1000 rows on either side of 1000
+    width, rows = drawn
+    columns = [(*range(c, c + lead), *column) for c, column in enumerate([*zip(*rows)] or [()] * width)]
+    length, start = lead + len(rows), max(0, lead + shift)
     digits = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # as cli.main lifts it
     try:
-        csv = "".join(",".join(f"{field}" for field in row) + "\n" for row in rows[start:])
+        csv = "".join(f"{n}" + "".join(f",{column[n]}" for column in columns) + "\n" for n in range(start, length))
         arrays = [json.dumps(column[start:]) for column in columns]
         writes = Writes()
+        textout.write_csv(writes, header, columns, start)
         with patch.object(textout, "CHUNK_PARTS", chunk):
-            textout.write_csv(writes, header, columns, start)
             assert ["".join(textout.json_ints(column, start)) for column in columns] == arrays
     finally:
         sys.set_int_max_str_digits(digits)
     assert "".join(writes) == ("" if header is None else header + "\n") + csv
-    assert all(0 < text.count("\n") <= chunk for text in writes)
+    cuts = [start, *range((start // 1000 + 1) * 1000, length, 1000), length]  # one write per decimal block
+    assert [text.count("\n") for text in writes[header is not None :]] == [b - a for a, b in zip(cuts, cuts[1:]) if b > a]
 
 
 def member_by_factoring(x: ExtMatrix, u: Fraction, v: Fraction) -> bool:

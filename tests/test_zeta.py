@@ -1,10 +1,11 @@
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
 from m2z import zeta
 from m2z.errors import LengthMismatch
 from m2z.matrices import classes_with_det
+from m2z.primes import primes_up_to
 from m2z.zeta import (
     MAX_ZETA_TERMS,
     CoefficientTable,
@@ -20,6 +21,36 @@ from m2z.zeta import (
 
 def brute_sigma(n):
     return sum(d for d in range(1, n + 1) if n % d == 0)
+
+
+def multiplicative_by_every_n(n_terms, prime_power):
+    """The table 1..n_terms of the multiplicative f with f(p^k) =
+    prime_power(p, f(p^(k-1)), f(p^(k-2))), by one loop step per n over a
+    smallest-prime-factor sieve of every prime: the reference the formulas'
+    odd-n loop and slices by powers of 2 must equal."""
+    spf = [0] * (n_terms + 1)
+    for p in reversed(primes_up_to(isqrt(n_terms))):
+        spf[p * p :: p] = [p] * len(range(p * p, n_terms + 1, p))
+    coeffs = [0] * (n_terms + 1)
+    coeffs[1] = 1
+    for n in range(2, n_terms + 1):
+        p = spf[n] or n
+        m = n // p
+        coeffs[n] = coeffs[m] * (p + 1) if m % p else prime_power(p, coeffs[m], coeffs[m // p])
+    return coeffs
+
+
+# f(p^k) from f(p^(k-1)) and f(p^(k-2)), for k >= 2
+SIGMA_STEP = lambda p, previous, before: previous * (p + 1) - p * before
+PSI_STEP = lambda p, previous, before: previous * p
+
+# every table up to 2^12 terms, the powers of 2 and their neighbours to 2^20,
+# and the benchmark's 10^6
+ORACLE_SIZES = [
+    *range(1, 4097),
+    *sorted({n for k in range(1, 21) for n in (2**k - 1, 2**k, 2**k + 1)} - set(range(4097))),
+    10**6,
+]
 
 
 class TestFormulas:
@@ -48,6 +79,12 @@ class TestFormulas:
                 assert value % p == 0
                 value += value // p
             assert t.value(n) == value
+
+    @pytest.mark.parametrize("table_fn, step", [(sigma_coeffs, SIGMA_STEP), (psi_coeffs, PSI_STEP)])
+    def test_formulas_equal_the_loop_over_every_n(self, table_fn, step):
+        oracle = multiplicative_by_every_n(max(ORACLE_SIZES), step)
+        for n in ORACLE_SIZES:  # the coefficient of n does not depend on the table's length
+            assert table_fn(n).coeffs == tuple(oracle[: n + 1]), n
 
     def test_axpb_all_ones(self):
         t = axpb_count(100)
@@ -101,6 +138,7 @@ class TestEnumeration:
 
         monkeypatch.setattr(zeta, "primes_up_to", refuse)
         monkeypatch.setattr(zeta, "_smallest_prime_factors", refuse)
+        monkeypatch.setattr(zeta, "_fill_twos", refuse)
         with pytest.raises(AssertionError, match="reached the sieve"):
             sigma_coeffs(10)  # the patch is in force
         assert count_classes_by_det(1000).coeffs == sigma
