@@ -59,14 +59,14 @@ def _cmd_ball(args) -> int:
     return 0
 
 
-_ZETA_ROUTES = {  # (formula, enumeration) by name, looked up in zeta at call time
-    "M": ("sigma_coeffs", "count_classes_by_det"),
-    "P": ("psi_coeffs", "count_primitive_by_det"),
-    "Pbar": ("axpb_count", "axpb_count"),
+_ZETA_ROUTES = {  # (formula, enumeration) array builders by name, looked up in zeta at call time
+    "M": ("_sigma_table", "_classes_table"),
+    "P": ("_psi_table", "_primitive_table"),
+    "Pbar": ("_axpb_table", "_axpb_table"),
 }
 
 
-def _zeta_json_parts(columns: list[tuple[int, ...]], mism: int | None):
+def _zeta_json_parts(columns: list, mism: int | None):
     """The JSON payload of ``zeta`` and its newline, as json.dumps writes
     them, in parts of CHUNK_PARTS numbers, from whole tables (entry 0 skipped)."""
     for key, column in zip(("",) if mism is None else ('{"formula": ', ', "enumerated": '), columns):
@@ -78,8 +78,8 @@ def _zeta_json_parts(columns: list[tuple[int, ...]], mism: int | None):
 def _cmd_zeta(args) -> int:
     formula_fn, enumerate_fn = (getattr(zeta, name) for name in _ZETA_ROUTES[args.which])
     fns = {"formula": (formula_fn,), "enumerate": (enumerate_fn,), "both": (formula_fn, enumerate_fn)}[args.mode]
-    columns = [fn(args.terms).coeffs for fn in fns]  # whole tables, not copies; coeffs[0] is 0 in each
-    mism = sum(map(ne, *columns)) if len(columns) == 2 else None
+    columns = [fn(args.terms) for fn in fns]  # array('q') tables, compared in C; entry 0 is 0 in each
+    mism = None if len(columns) == 1 else 0 if columns[0] == columns[1] else sum(map(ne, *columns))
     if args.format == "json":
         sys.stdout.writelines(_zeta_json_parts(columns, mism))
     else:

@@ -44,9 +44,12 @@ def write_csv(out: TextIOBase, header: str | None, columns: Sequence[Sequence[in
             text, fields = template[r * size : (hi - lo + r) * size].replace("\0", str(b)), columns
         else:  # the numbers below ROW_BLOCK share no prefix: they are a field
             text, fields = ("%d" + ",%d" * width + "\n") * (hi - lo), [range(hi), *columns]
-        block = [0] * ((hi - lo) * len(fields))  # the block's fields in row order
-        for c, column in enumerate(fields):
-            block[c :: len(fields)] = column[lo:hi]
+        if len(fields) == 1:  # the rows are one column's slice
+            block = fields[0][lo:hi]
+        else:  # the block's fields in row order
+            block = [0] * ((hi - lo) * len(fields))
+            for c, column in enumerate(fields):
+                block[c :: len(fields)] = column[lo:hi]
         out.write(text % tuple(block))
         lo = hi
 

@@ -183,6 +183,23 @@ class TestZetaCommand:
         assert lines[-1] == "6,12,12"
         assert "mismatches: 0" in err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("wrong", [1, 2, 37])
+    def test_both_mode_counts_the_entries_that_differ(self, capsys, monkeypatch, fmt, wrong):
+        sigma = zeta._sigma_table
+
+        def faulty(n):  # the formula, wrong at `wrong` entries spread over the table
+            table = sigma(n)
+            for k in range(1, n + 1, n // wrong)[:wrong]:
+                table[k] += 1
+            return table
+
+        monkeypatch.setattr(zeta, "_sigma_table", faulty)
+        code, out, err = run(capsys, "zeta", "--which", "M", "--terms", "1000", "--mode", "both", "--format", fmt)
+        assert (code, err) == (0, f"mismatches: {wrong}\n")
+        if fmt == "json":
+            assert json.loads(out)["mismatches"] == wrong
+
     def test_json_format(self, capsys):
         _, out, _ = run(capsys, "zeta", "--which", "M", "--terms", "4", "--format", "json")
         assert json.loads(out) == [1, 3, 4, 7]
@@ -394,26 +411,50 @@ class TestAnswersOverTheDefaultDigitCap:
             sys.set_int_max_str_digits(digits)
 
 
-def test_out_of_memory_is_a_usage_error():
-    # the largest table the guard allows peaks near 150 MB, which a 128 MB
-    # address-space cap refuses part way: the MemoryError comes from an
-    # allocation, not from a size guard, and cli.main still maps it to exit 2
+def zeta_at_the_limit(tmp_path, megabytes, *options):
+    """``m2z zeta`` at MAX_ZETA_TERMS terms, its address space capped at
+    ``megabytes``: the exit code, the file that holds its stdout, its stderr."""
     def cap_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 27, 1 << 27))
+        resource.setrlimit(resource.RLIMIT_AS, (megabytes << 20, megabytes << 20))
 
     src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    result = subprocess.run(
-        [sys.executable, "-m", "m2z.cli", "zeta", "--which", "P", "--terms", str(MAX_ZETA_TERMS)],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=30,
-        preexec_fn=cap_address_space,
-    )
-    assert result.returncode == 2
-    assert result.stdout == ""
-    assert result.stderr == "too large: the answer does not fit in memory\n"
+    argv = [sys.executable, "-m", "m2z.cli", "zeta", "--terms", str(MAX_ZETA_TERMS), *options]
+    with open(tmp_path / "stdout", "wb") as out:
+        result = subprocess.run(
+            argv,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            stdout=out,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+            preexec_fn=cap_address_space,
+        )
+    return result.returncode, tmp_path / "stdout", result.stderr
+
+
+def test_out_of_memory_is_a_usage_error(tmp_path):
+    # the largest table the guard allows needs about 48 MB of address space,
+    # 18 MB of it the interpreter's, so a 32 MB cap refuses it part way: the
+    # MemoryError comes from an allocation, not from a size guard, and
+    # cli.main still maps it to exit 2
+    code, out, err = zeta_at_the_limit(tmp_path, 32, "--which", "P")
+    assert code == 2
+    assert out.stat().st_size == 0
+    assert err == "too large: the answer does not fit in memory\n"
+
+
+@pytest.mark.parametrize("options, last_row, stderr", [
+    (("--which", "P"), b"3000000,7200000\n", ""),
+    (("--which", "M", "--mode", "both"), b"3000000,9921748,9921748\n", "mismatches: 0\n"),
+], ids=["P", "M-both"])
+def test_the_largest_tables_fit_in_128_mb(tmp_path, options, last_row, stderr):
+    # the tables are arrays of machine words; as tables of int objects they did not fit
+    code, out, err = zeta_at_the_limit(tmp_path, 128, *options)
+    assert (code, err) == (0, stderr)
+    with open(out, "rb") as written:
+        rows = sum(chunk.count(b"\n") for chunk in iter(lambda: written.read(1 << 20), b""))
+        written.seek(-len(last_row), os.SEEK_END)
+        assert (rows, written.read()) == (MAX_ZETA_TERMS, last_row)
 
 
 def test_ball_over_the_size_guard_is_refused_at_once():

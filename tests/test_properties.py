@@ -5,6 +5,7 @@ import io
 import json
 import re
 import sys
+from array import array
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
@@ -12,7 +13,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product, starmap
 from operator import matmul
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from unittest.mock import patch
 
 from hypothesis import assume, example, given, settings
@@ -56,7 +57,7 @@ from m2z.supernatural import (
     s_of,
 )
 from m2z import textout
-from m2z.zeta import count_classes_by_det, count_primitive_by_det, psi_coeffs, sigma_coeffs
+from m2z.zeta import SEGMENT, count_classes_by_det, count_primitive_by_det, psi_coeffs, sigma_coeffs
 
 entries = st.integers(min_value=-30, max_value=30)
 nonsingular = st.builds(IntMatrix2, entries, entries, entries, entries).filter(lambda m: m.det() != 0)
@@ -120,10 +121,18 @@ SPLIT_SIZES = sorted(
     | {n for s in range(1, 41) for n in (s * s - 1, s * s, s * s + 1, s * s + s, s * s + s + 1)} - {0}
 )
 
+# each side of the pass's segment edges k * SEGMENT, and the first square
+# x*x >= k * SEGMENT, which opens segment k or falls just past its start
+SEGMENT_EDGE_SIZES = sorted(
+    {n for k in (1, 2) for n in (k * SEGMENT - 1, k * SEGMENT, k * SEGMENT + 1)}
+    | {3 * SEGMENT}
+    | {(isqrt(k * SEGMENT - 1) + 1) ** 2 for k in (1, 2, 3)}
+)
+
 
 def test_hyperbola_split_visits_every_pair_once():
-    classes, primitive = enumerations_by_nested_loops(SPLIT_SIZES[-1])
-    for n in SPLIT_SIZES:  # the coefficient of n does not depend on the table's length
+    classes, primitive = enumerations_by_nested_loops(SEGMENT_EDGE_SIZES[-1])
+    for n in SPLIT_SIZES + SEGMENT_EDGE_SIZES:  # the coefficient of n does not depend on the table's length
         assert count_classes_by_det(n).coeffs == tuple(classes[: n + 1]), n
         assert count_primitive_by_det(n).coeffs == tuple(primitive[: n + 1]), n
 
@@ -146,18 +155,21 @@ table_ints = st.one_of(
     st.integers(-1100, 41),
     st.one_of(st.none(), st.just("a,b")),
     st.sampled_from([1, 2, 3, textout.CHUNK_PARTS]),
+    st.booleans(),
 )
-def test_block_writers_write_the_str_and_json_dumps_text(drawn, lead, shift, header, chunk):
+def test_block_writers_write_the_str_and_json_dumps_text(drawn, lead, shift, header, chunk, machine_words):
     # the drawn rows follow `lead` rows of n + c in column c, so the rows from
     # `start` reach the decimal blocks of 1000 rows on either side of 1000
     width, rows = drawn
     columns = [(*range(c, c + lead), *column) for c, column in enumerate([*zip(*rows)] or [()] * width)]
+    if machine_words:  # array('q') columns, as the CLI writes its zeta tables: the ints clamped to int64
+        columns = [array("q", (min(max(v, -(1 << 63)), (1 << 63) - 1) for v in column)) for column in columns]
     length, start = lead + len(rows), max(0, lead + shift)
     digits = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # as cli.main lifts it
     try:
         csv = "".join(f"{n}" + "".join(f",{column[n]}" for column in columns) + "\n" for n in range(start, length))
-        arrays = [json.dumps(column[start:]) for column in columns]
+        arrays = [json.dumps([*column[start:]]) for column in columns]
         writes = Writes()
         textout.write_csv(writes, header, columns, start)
         with patch.object(textout, "CHUNK_PARTS", chunk):
