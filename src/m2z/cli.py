@@ -2,17 +2,26 @@
 
 Payloads go to stdout, diagnostics to stderr.  Exit codes: 0 on success,
 1 on domain errors (singular matrix, not divisible, not a unit, ...),
-2 on usage or literal-parse errors and on inputs too large for memory.
-Fractions are always rendered as "num/den" strings, never as floating point.
+2 on usage or literal-parse errors and on inputs too large for memory,
+141 when stdout is closed before the payload is written (``m2z ... | head``),
+without a traceback.  Fractions are always rendered as "num/den" strings,
+never as floating point.
+
+A ``zeta`` table of more than one segment (--terms zeta.SEGMENT and up) is
+computed by one forked child while this process writes the segments it has
+sent; this process stays the only writer of stdout, so the payload, stderr
+and exit code are those of the same table computed in process.  Smaller
+tables, and every table where ``os.fork`` does not exist or another thread is
+running, are computed in process, segment by segment.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from operator import ne
 
-from . import bigpicture, errors, matrices, supernatural, textout, zeta
+from . import bigpicture, errors, matrices, supernatural
 # json is imported by the handlers that print it: a ball call never loads it.
 
 
@@ -59,35 +68,12 @@ def _cmd_ball(args) -> int:
     return 0
 
 
-_ZETA_ROUTES = {  # (formula, enumeration) array builders by name, looked up in zeta at call time
-    "M": ("_sigma_table", "_classes_table"),
-    "P": ("_psi_table", "_primitive_table"),
-    "Pbar": ("_axpb_table", "_axpb_table"),
-}
-
-
-def _zeta_json_parts(columns: list, mism: int | None):
-    """The JSON payload of ``zeta`` and its newline, as json.dumps writes
-    them, in parts of CHUNK_PARTS numbers, from whole tables (entry 0 skipped)."""
-    for key, column in zip(("",) if mism is None else ('{"formula": ', ', "enumerated": '), columns):
-        yield key
-        yield from textout.json_ints(column, 1)
-    yield "\n" if mism is None else f', "mismatches": {mism}}}\n'
-
-
 def _cmd_zeta(args) -> int:
-    formula_fn, enumerate_fn = (getattr(zeta, name) for name in _ZETA_ROUTES[args.which])
-    fns = {"formula": (formula_fn,), "enumerate": (enumerate_fn,), "both": (formula_fn, enumerate_fn)}[args.mode]
-    columns = [fn(args.terms) for fn in fns]  # array('q') tables, compared in C; entry 0 is 0 in each
-    mism = None if len(columns) == 1 else 0 if columns[0] == columns[1] else sum(map(ne, *columns))
-    if args.format == "json":
-        sys.stdout.writelines(_zeta_json_parts(columns, mism))
-    else:
-        header = ("n,coefficient" if mism is None else "n,formula,enumerated") if args.header else None
-        textout.write_csv(sys.stdout, header, columns, 1)
-    if mism is not None:
-        print(f"mismatches: {mism}", file=sys.stderr)
-    return 0
+    # imported here, so that no other call loads it; `from . import zetaout`
+    # would ask the package's __getattr__, which runs every library module
+    from .zetaout import write_zeta
+
+    return write_zeta(args.which, args.terms, args.mode, args.format, args.header)
 
 
 def _cmd_equiv(args) -> int:
@@ -195,7 +181,15 @@ def main(argv=None) -> int:
     digits = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # argv bounds the literals; an answer may have more than 4,300 digits
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader gone from stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader has gone (``m2z ... | head``).  As the Python docs'
+        # SIGPIPE note does, point stdout at os.devnull, so that the flush at
+        # exit does not fail again; 141 is what a shell reports for SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OverflowError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

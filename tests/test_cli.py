@@ -5,6 +5,8 @@ import shlex
 import subprocess
 import sys
 import time
+from array import array
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -188,11 +190,11 @@ class TestZetaCommand:
     def test_both_mode_counts_the_entries_that_differ(self, capsys, monkeypatch, fmt, wrong):
         sigma = zeta._sigma_table
 
-        def faulty(n):  # the formula, wrong at `wrong` entries spread over the table
-            table = sigma(n)
+        def faulty(n):  # the formula's segments, wrong at `wrong` entries spread over the table
+            table = array("q", chain.from_iterable(sigma(n)))
             for k in range(1, n + 1, n // wrong)[:wrong]:
                 table[k] += 1
-            return table
+            return (table[lo : lo + zeta.SEGMENT] for lo in range(0, n + 1, zeta.SEGMENT))
 
         monkeypatch.setattr(zeta, "_sigma_table", faulty)
         code, out, err = run(capsys, "zeta", "--which", "M", "--terms", "1000", "--mode", "both", "--format", fmt)

@@ -156,10 +156,12 @@ table_ints = st.one_of(
     st.one_of(st.none(), st.just("a,b")),
     st.sampled_from([1, 2, 3, textout.CHUNK_PARTS]),
     st.booleans(),
+    st.integers(1, 2100),
 )
-def test_block_writers_write_the_str_and_json_dumps_text(drawn, lead, shift, header, chunk, machine_words):
+def test_block_writers_write_the_str_and_json_dumps_text(drawn, lead, shift, header, chunk, machine_words, piece):
     # the drawn rows follow `lead` rows of n + c in column c, so the rows from
-    # `start` reach the decimal blocks of 1000 rows on either side of 1000
+    # `start` reach the decimal blocks of 1000 rows on either side of 1000; the
+    # writers take the table in segments of `piece` rows, as the CLI streams it
     width, rows = drawn
     columns = [(*range(c, c + lead), *column) for c, column in enumerate([*zip(*rows)] or [()] * width)]
     if machine_words:  # array('q') columns, as the CLI writes its zeta tables: the ints clamped to int64
@@ -170,14 +172,16 @@ def test_block_writers_write_the_str_and_json_dumps_text(drawn, lead, shift, hea
     try:
         csv = "".join(f"{n}" + "".join(f",{column[n]}" for column in columns) + "\n" for n in range(start, length))
         arrays = [json.dumps([*column[start:]]) for column in columns]
+        segments = [tuple(column[lo : lo + piece] for column in columns) for lo in range(0, length, piece)]
         writes = Writes()
-        textout.write_csv(writes, header, columns, start)
+        textout.write_csv(writes, header, segments, start)
         with patch.object(textout, "CHUNK_PARTS", chunk):
-            assert ["".join(textout.json_ints(column, start)) for column in columns] == arrays
+            assert ["".join(textout.json_ints([s[c] for s in segments], start)) for c in range(width)] == arrays
     finally:
         sys.set_int_max_str_digits(digits)
     assert "".join(writes) == ("" if header is None else header + "\n") + csv
-    cuts = [start, *range((start // 1000 + 1) * 1000, length, 1000), length]  # one write per decimal block
+    # one write per decimal block, cut again at each segment edge inside it
+    cuts = [start, *(k for k in range(start + 1, length) if k % 1000 == 0 or k % piece == 0), length]
     assert [text.count("\n") for text in writes[header is not None :]] == [b - a for a, b in zip(cuts, cuts[1:]) if b > a]
 
 
