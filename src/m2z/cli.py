@@ -11,8 +11,9 @@ A ``zeta`` table of more than one segment (--terms zeta.SEGMENT and up) is
 computed by one forked child while this process writes the segments it has
 sent; this process stays the only writer of stdout, so the payload, stderr
 and exit code are those of the same table computed in process.  Smaller
-tables, and every table where ``os.fork`` does not exist or another thread is
-running, are computed in process, segment by segment.
+tables, Pbar's constant ones, and every table where ``os.fork`` does not
+exist, another thread is running or the fork fails, are computed in process,
+segment by segment.
 """
 
 from __future__ import annotations

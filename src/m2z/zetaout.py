@@ -6,9 +6,10 @@ while this process writes the segments the child has sent, so that the
 computing and the writing overlap on two CPUs.  This process stays the only
 writer of stdout, and re-raises the exception that ends the child, so stdout,
 stderr and the exit code are those of the same table computed in process.
-Smaller tables, and every table where ``os.fork`` does not exist or another
-thread is running, are computed in process, segment by segment.  Only
-``zeta`` calls load this module.
+Smaller tables, the constant tables of Pbar, and every table where a fork
+is not possible (no ``os.fork``, another thread running, or no process to
+spare) are computed in process, segment by segment.  Only ``zeta`` calls load
+this module.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import marshal
 import os
 import sys
 from array import array
-from itertools import chain, islice
+from itertools import chain
 from operator import ne
 
 from . import textout, zeta
@@ -32,8 +33,9 @@ _ROUTES = {  # (formula, enumeration) segment builders by name, looked up in zet
 def _segments(builders, terms: int, rows: bool):
     """The tables of ``builders`` (one or two) at ``terms`` terms as tuples of
     segments: for CSV (``rows``) each tuple holds one segment of every table;
-    for JSON each holds one segment, all of the first table before the second.
-    Returns the count of entries where the two tables differ."""
+    for JSON each holds one segment, all of the first table, then an empty
+    tuple, then the second.  Returns the count of entries where the two tables
+    differ."""
     tables = [build(terms) for build in builders]
     if len(tables) == 1:
         yield from zip(*tables)
@@ -45,6 +47,7 @@ def _segments(builders, terms: int, rows: bool):
             kept.append(segment)
             yield (segment,)
         formula = kept
+        yield ()
     mism = 0
     for f, e in zip(formula, enumerated):
         if f != e:  # compared in C; entry 0 is 0 in each
@@ -61,9 +64,15 @@ def _forked(produced):
     machine words, then the return value, an int, or the module, name and
     message of the exception that ended it, a tuple.  This process re-raises
     that exception, so the call ends as it would in process, and reaps the
-    child on every path, killing it first if it has not finished."""
+    child on every path, killing it first if it has not finished.  When the
+    fork fails, ``produced`` runs in process."""
     read_end, write_end = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare (EAGAIN, ENOMEM): the same stream, in process
+        os.close(read_end)
+        os.close(write_end)
+        return (yield from produced)
     if not pid:  # the child never returns to the caller
         os.close(read_end)
         try:
@@ -97,21 +106,16 @@ def _forked(produced):
     raise ChildProcessError(f"the producer of the table ended early, exit code {os.waitstatus_to_exitcode(status)}")
 
 
-def _json_parts(segments, both: bool, terms: int, mism: list):
+def _json_parts(segments, both: bool, mism: list):
     """The JSON payload of ``zeta`` and its newline, as json.dumps writes
-    them, in parts of CHUNK_PARTS numbers, from 1-tuples of segments (entry 0
-    skipped): with ``both``, the formula's table, then the enumeration's, then
-    ``mism[0]``, the count of mismatches, there once the segments are done."""
-    columns = (segment for segment, in segments)
-    if not both:
-        yield from textout.json_ints(columns, 1)
-        yield "\n"
-        return
-    yield '{"formula": '
-    yield from textout.json_ints(islice(columns, len(range(0, terms + 1, zeta.SEGMENT))), 1)
-    yield ', "enumerated": '
-    yield from textout.json_ints(columns, 1)
-    yield f', "mismatches": {mism[0]}}}\n'
+    them, in parts of CHUNK_PARTS numbers, from the tuples of _segments (entry
+    0 skipped): with ``both``, the formula's table, then the enumeration's,
+    then ``mism[0]``, the count of mismatches, there once the segments are
+    done."""
+    for key in ('{"formula": ', ', "enumerated": ') if both else ("",):
+        yield key  # each table's segments end at the empty tuple or at the end
+        yield from textout.json_ints(chain.from_iterable(iter(segments.__next__, ())), 1)
+    yield f', "mismatches": {mism[0]}}}\n' if both else "\n"
 
 
 def write_zeta(which: str, terms: int, mode: str, fmt: str, header: bool) -> int:
@@ -122,8 +126,10 @@ def write_zeta(which: str, terms: int, mode: str, fmt: str, header: bool) -> int
     builders = [getattr(zeta, name) for name in {"formula": names[:1], "enumerate": names[1:], "both": names}[mode]]
     produced = _segments(builders, terms, fmt == "csv")
     threading = sys.modules.get("threading")
-    if terms >= zeta.SEGMENT and hasattr(os, "fork") and (threading is None or threading.active_count() == 1):
-        produced = _forked(produced)  # a fork copies only the thread that calls it
+    # Pbar's segments are copies of one constant segment, which a fork would
+    # only delay; a fork copies only the thread that calls it
+    if which != "Pbar" and terms >= zeta.SEGMENT and hasattr(os, "fork") and (threading is None or threading.active_count() == 1):
+        produced = _forked(produced)
     mism = []  # what `produced` returns, once the last segment is written
 
     def tallied():
@@ -133,7 +139,7 @@ def write_zeta(which: str, terms: int, mode: str, fmt: str, header: bool) -> int
     segments = chain([next(stream)], stream)  # a table that fails before its first segment writes nothing
     try:
         if fmt == "json":
-            sys.stdout.writelines(_json_parts(segments, len(builders) == 2, terms, mism))
+            sys.stdout.writelines(_json_parts(segments, len(builders) == 2, mism))
         else:
             line = ("n,coefficient" if len(builders) == 1 else "n,formula,enumerated") if header else None
             textout.write_csv(sys.stdout, line, segments, 1)

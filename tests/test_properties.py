@@ -135,6 +135,9 @@ def test_hyperbola_split_visits_every_pair_once():
     for n in SPLIT_SIZES + SEGMENT_EDGE_SIZES:  # the coefficient of n does not depend on the table's length
         assert count_classes_by_det(n).coeffs == tuple(classes[: n + 1]), n
         assert count_primitive_by_det(n).coeffs == tuple(primitive[: n + 1]), n
+    for n in SEGMENT_EDGE_SIZES:  # the formulas fill each segment's even entries apart: sigma and psi are these counts
+        assert sigma_coeffs(n).coeffs == tuple(classes[: n + 1]), n
+        assert psi_coeffs(n).coeffs == tuple(primitive[: n + 1]), n
 
 
 class Writes(list):

@@ -2,10 +2,12 @@
 computed in a child process while the CLI writes it, and must read exactly as
 the same call computed in process (``os.fork`` removed)."""
 
+import json
 import os
 import subprocess
 import sys
 import threading
+from itertools import chain, islice
 from pathlib import Path
 
 import pytest
@@ -16,13 +18,17 @@ from m2z.textout import ROW_BLOCK
 from m2z.zeta import SEGMENT
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-BUILDERS = ("_sigma_table", "_psi_table", "_classes_table", "_primitive_table", "_axpb_table")
+BUILDERS = {  # --which -> (formula, enumeration) builders
+    "M": ("_sigma_table", "_classes_table"),
+    "P": ("_psi_table", "_primitive_table"),
+    "Pbar": ("_axpb_table", "_axpb_table"),
+}
 # each side of the fork's edge (more than one segment) and of the later
 # segment edges, and a table whose last segment holds two decimal block edges
 SIZES = [SEGMENT - 1, SEGMENT, SEGMENT + 1, 2 * SEGMENT - 1, 2 * SEGMENT + 1, 3 * SEGMENT, 10**5]
 SIZES.append((SEGMENT // ROW_BLOCK + 2) * ROW_BLOCK + 1)
 FORMATS = [("--format", "csv"), ("--format", "csv", "--header"), ("--format", "json")]
-TABLES = [(which, mode) for which in ("M", "P", "Pbar") for mode in ("formula", "enumerate", "both")]
+TABLES = [(which, mode) for which in BUILDERS for mode in ("formula", "enumerate", "both")]
 # one format per size and table, rotated so that each size meets every format
 # and each table every format, in a few seconds
 GRID = [(terms, *table, FORMATS[(i + j) % 3]) for i, terms in enumerate(SIZES) for j, table in enumerate(TABLES)]
@@ -40,13 +46,25 @@ def replay_segments(monkeypatch, computed):
     same size: the two routes of a call then write the same segments, and the
     grid stays fast.  The first call of a size runs in process, so a forked
     child replays from its copy."""
-    for name in BUILDERS:
+    for name in {name for names in BUILDERS.values() for name in names}:
         def replay(n, build=getattr(zeta, name), name=name):
             if (name, n) not in computed:
                 computed[name, n] = list(build(n))
             return iter(computed[name, n])
 
         monkeypatch.setattr(zeta, name, replay)
+
+
+def whole_table_payload(tables, fmt, header):
+    """stdout of a zeta call that writes the whole tables (entry 0 first), as
+    str and json.dumps write them."""
+    if fmt == "json":
+        columns = [list(table[1:]) for table in tables]
+        if len(columns) == 1:
+            return json.dumps(columns[0]) + "\n"
+        return json.dumps({"formula": columns[0], "enumerated": columns[1], "mismatches": 0}) + "\n"
+    line = ("n,coefficient\n" if len(tables) == 1 else "n,formula,enumerated\n") if header else ""
+    return line + "".join(",".join(map(str, row)) + "\n" for row in islice(zip(range(len(tables[0])), *tables), 1, None))
 
 
 def call(capsys, argv):
@@ -62,21 +80,43 @@ def test_the_forked_route_writes_the_in_process_bytes(capsys, monkeypatch, compu
     with monkeypatch.context() as without_fork:
         without_fork.delattr(os, "fork")
         in_process = call(capsys, argv)
-    assert in_process[0] == 0
+    names = {"formula": BUILDERS[which][:1], "enumerate": BUILDERS[which][1:], "both": BUILDERS[which]}[mode]
+    tables = [tuple(chain.from_iterable(getattr(zeta, name)(terms))) for name in names]
+    assert all(len(table) == terms + 1 for table in tables)
+    payload = whole_table_payload(tables, options[1], "--header" in options)
+    assert in_process == (0, payload, "mismatches: 0\n" if mode == "both" else "")
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(fork()) or forks[-1])
     assert call(capsys, argv) == in_process
-    assert len(forks) == (terms >= SEGMENT)  # the route under test did fork
+    assert len(forks) == (terms >= SEGMENT and which != "Pbar")  # the route under test did fork
 
 
 def refuse_to_fork():
     raise AssertionError("forked")
 
 
-def test_a_table_of_one_segment_forks_nothing(capsys, monkeypatch):
+@pytest.mark.parametrize("which, terms", [("P", SEGMENT - 1), ("Pbar", 3 * SEGMENT)])
+def test_a_table_of_one_segment_or_of_pbar_forks_nothing(capsys, monkeypatch, which, terms):
     monkeypatch.setattr(os, "fork", refuse_to_fork)
-    code, out, _ = call(capsys, ["zeta", "--which", "P", "--terms", str(SEGMENT - 1)])
-    assert code == 0 and out.count("\n") == SEGMENT - 1
+    code, out, _ = call(capsys, ["zeta", "--which", which, "--terms", str(terms)])
+    assert code == 0 and out.count("\n") == terms
+
+
+@pytest.mark.parametrize("options", [(), ("--format", "json", "--mode", "both")])
+def test_a_fork_that_fails_leaves_the_table_to_this_process(capsys, monkeypatch, options):
+    argv = ["zeta", "--which", "M", "--terms", str(2 * SEGMENT + 1), *options]
+    with monkeypatch.context() as without_fork:
+        without_fork.delattr(os, "fork")
+        in_process = call(capsys, argv)
+
+    def no_process_to_spare():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_process_to_spare)
+    descriptors = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    assert call(capsys, argv) == in_process
+    if descriptors is not None:  # the pipe is closed again
+        assert len(os.listdir("/proc/self/fd")) == descriptors
 
 
 def test_a_process_with_another_thread_forks_nothing(capsys, monkeypatch):
