@@ -7,13 +7,8 @@ Payloads go to stdout, diagnostics to stderr.  Exit codes: 0 on success,
 without a traceback.  Fractions are always rendered as "num/den" strings,
 never as floating point.
 
-A ``zeta`` table of more than one segment (--terms zeta.SEGMENT and up) is
-computed by one forked child while this process writes the segments it has
-sent; this process stays the only writer of stdout, so the payload, stderr
-and exit code are those of the same table computed in process.  Smaller
-tables, Pbar's constant ones, and every table where ``os.fork`` does not
-exist, another thread is running or the fork fails, are computed in process,
-segment by segment.
+``m2z.zetaout`` writes the ``zeta`` payload, from a forked producer when the
+table has more than one segment.
 """
 
 from __future__ import annotations

@@ -11,13 +11,14 @@ Every table is built as an ascending stream of finished segments of SEGMENT
 positions (the first holds the unused entry 0), so a caller can write one
 segment while the next is computed.
 
-The enumerations visit each pair (a, d) with ad <= N once, by Dirichlet's
+The class count visits each pair (a, d) with ad <= N once, by Dirichlet's
 hyperbola method in its symmetric form: (a, d) and (d, a) have the same
-product and gcd, so for each x <= isqrt(N) one slice coeffs[x*(x+1)::x] adds
-both orders of the pairs {x, y}, x < y <= N // x, and coeffs[x*x] the square
+product, so for each x <= isqrt(N) one slice coeffs[x*(x+1)::x] adds both
+orders of the pairs {x, y}, x < y <= N // x, and coeffs[x*x] the square
 x = y.  That is isqrt(N) slice assignments per segment instead of N ln N loop
 steps; each segment is yielded when its pass is done, so only one segment's
-ints exist and no whole table is held.
+ints exist and no whole table is held.  The primitive count inverts it over
+the squares (count_primitive_by_det) and keeps its entries up to N // 4.
 
 The formulas loop over odd n only, on a sieve of the odd primes, a segment at a
 time: sigma and psi are multiplicative, so once a segment's odd entries are set
@@ -36,9 +37,9 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterator
-from itertools import chain, repeat
-from math import gcd, isqrt
-from operator import add
+from itertools import chain
+from math import isqrt
+from operator import add, sub
 from sys import byteorder
 
 from .errors import LengthMismatch
@@ -82,11 +83,11 @@ class CoefficientTable(Frozen):
         return self.coeffs[n]
 
 
-# At 3,000,000 terms ``m2z zeta --mode both`` peaks at 45-46 MB RSS for M and
-# for P in CSV and at 41 MB in JSON (23-26 MB at 10^6), and ``--mode
-# enumerate`` at 16 MB; whole tables of machine words read 62 MB for both, and
-# tables of int objects 313 MB.  The limit was set when JSON peaked at 445 MB there, near the 450 MB
-# that MAX_BALL_VERTICES was then sized for.
+# At 3,000,000 terms ``m2z zeta --mode both`` peaks at 46 MB RSS for M and 52 MB
+# for P (its enumeration keeps M up to N // 4) in CSV, 40 and 44 MB in JSON, and
+# ``--mode enumerate`` at 16 and 21 MB; whole tables of machine words read 62 MB
+# for both, and int objects 313 MB.  The limit was set when JSON peaked at 445
+# MB there, near the 450 MB that MAX_BALL_VERTICES was then sized for.
 MAX_ZETA_TERMS = 3_000_000
 
 # Positions per segment of every table: of the enumeration pass, of the
@@ -193,44 +194,46 @@ def psi_coeffs(n_terms: int) -> CoefficientTable:
     return CoefficientTable(BIG_PICTURE, tuple(chain.from_iterable(_psi_table(n_terms))))
 
 
-def _pair_pass(n_terms: int, squares, pairs) -> Iterator[array]:
+def _classes_table(n_terms: int) -> Iterator[array]:
     """The symmetric pass (see the module docstring), yielding each segment
     [lo, hi) = [k * SEGMENT, (k + 1) * SEGMENT) as it is done: it starts as
-    the pairs {1, y}, n + 1 at n; each x = 2 .. isqrt(hi - 1) adds squares[x]
-    at x*x, and pairs(x, ys, old) replaces the old entries at x*y for the
-    y > x in ys."""
+    the pairs {1, y}, n + 1 at n; each x = 2 .. isqrt(hi - 1) adds x at x*x
+    and x + y at x*y for the y > x with x*y in the segment."""
+    _check_terms(n_terms)
     for lo in range(0, n_terms + 1, SEGMENT):
         hi = min(lo + SEGMENT, n_terms + 1)
         segment = list(range(lo + 1, hi + 1))
         for x in range(2, isqrt(hi - 1) + 1):
             if x * x >= lo:
-                segment[x * x - lo] += squares[x]
+                segment[x * x - lo] += x
             ys = range(max(x + 1, -(-lo // x)), (hi - 1) // x + 1)
             k = x * ys.start - lo
-            segment[k::x] = pairs(x, ys, segment[k::x])
+            segment[k::x] = map(add, segment[k::x], range(x + ys.start, x + ys.stop))
         if not lo:
             segment[:2] = [0, 1]  # c(1) is the pair {1, 1} alone
         yield array("q", segment)  # 64 bits hold sigma(n) < 5n, up to MAX_ZETA_TERMS
 
 
-def _classes_table(n_terms: int) -> Iterator[array]:
-    _check_terms(n_terms)
-
-    def pairs(x, ys, old):
-        return map(add, old, range(x + ys.start, x + ys.stop))
-
-    yield from _pair_pass(n_terms, range(isqrt(n_terms) + 1), pairs)
-
-
 def _primitive_table(n_terms: int) -> Iterator[array]:
+    """count_primitive_by_det's inversion on the segments of _classes_table:
+    the class counts up to N // 4, the only ones a k >= 2 reads, are kept as
+    their segments pass, and each k adds or subtracts one slice of them."""
     _check_terms(n_terms)
-    s = isqrt(n_terms)
-    units = [0] + [list(map(gcd, repeat(g), range(g))).count(1) for g in range(1, s + 1)]
-
-    def pairs(x, ys, old):
-        return [c + (x + y) // g * units[g] for c, y, g in zip(old, ys, map(gcd, repeat(x), ys))]
-
-    yield from _pair_pass(n_terms, units, pairs)
+    mu = [0, 1] + [0] * (isqrt(n_terms) - 1)
+    for k in range(1, len(mu)):
+        for m in range(2 * k, len(mu), k):
+            mu[m] -= mu[k]
+    steps = [(k * k, add if mu[k] > 0 else sub) for k in range(2, len(mu)) if mu[k]]
+    kept = array("q", [0]) * (n_terms // 4 + 1)
+    for lo, segment in zip(range(0, n_terms + 1, SEGMENT), _classes_table(n_terms)):
+        hi = lo + len(segment)
+        kept[lo:hi] = segment[: max(len(kept) - lo, 0)]  # empty once lo > N // 4
+        for q, step in steps:
+            if q >= hi:
+                break
+            j, stop = max(1, -(-lo // q)), (hi - 1) // q + 1  # the j with lo <= q * j < hi
+            segment[q * j - lo :: q] = array("q", map(step, segment[q * j - lo :: q], kept[j:stop]))
+        yield segment
 
 
 def count_classes_by_det(n_terms: int) -> CoefficientTable:
@@ -245,14 +248,16 @@ def count_classes_by_det(n_terms: int) -> CoefficientTable:
 
 
 def count_primitive_by_det(n_terms: int) -> CoefficientTable:
-    """Number of primitive classes (coprime entries) of each determinant, by
-    enumerating the canonical representatives and checking their content.
+    """Number of primitive classes (coprime entries) of each determinant, from
+    the enumeration of count_classes_by_det.
 
-    The content of (a, b; 0, d) is gcd(g, b) with g = gcd(a, d).  It depends
-    on b mod g only, and g | d, so [0, d) holds d/g copies of units[g], the
-    count of b in [0, g) coprime to g, found by enumerating b.  g^2 | ad <= N,
-    so only g <= isqrt(N) occurs.  One pass as in count_classes_by_det: a
-    pair {x, y}, x < y, adds (x + y) // g * units[g], the square {x, x} units[x].
+    A class of det n is k * q for a unique content k and a unique primitive
+    class q of det n / k^2 (matrices.primitive_decompose), so M(n) = sum over
+    k^2 | n of P(n / k^2), and P(n) = sum over k^2 | n of mu(k) * M(n / k^2):
+    each squarefree k = 2 .. isqrt(N) adds or subtracts the class counts
+    M(1 .. N // k^2) at k^2, 2k^2, ...  mu is found from sum_{d|k} mu(d) =
+    [k = 1], not from the sieve the formulas share.  So a fault in the class
+    count shows in both ``zeta --mode both`` checks, not in P's alone.
     """
     return CoefficientTable(BIG_PICTURE, tuple(chain.from_iterable(_primitive_table(n_terms))))
 

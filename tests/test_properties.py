@@ -11,7 +11,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, product, starmap
+from itertools import combinations, product, repeat, starmap
 from operator import matmul
 from math import gcd, isqrt, lcm, prod
 from unittest.mock import patch
@@ -138,6 +138,36 @@ def test_hyperbola_split_visits_every_pair_once():
     for n in SEGMENT_EDGE_SIZES:  # the formulas fill each segment's even entries apart: sigma and psi are these counts
         assert sigma_coeffs(n).coeffs == tuple(classes[: n + 1]), n
         assert psi_coeffs(n).coeffs == tuple(primitive[: n + 1]), n
+
+
+def primitive_by_gcd_pass(n_terms):
+    # the route the inversion over the squares replaced: the symmetric pass
+    # over the pairs {x, y}, where the content of (a, b; 0, d) is gcd(g, b),
+    # g = gcd(a, d), so [0, d) holds d/g copies of units[g], the count of b in
+    # [0, g) coprime to g, and g <= isqrt(N)
+    units = [0] + [list(map(gcd, repeat(g), range(g))).count(1) for g in range(1, isqrt(n_terms) + 1)]
+    coeffs = [0, 1] + list(range(3, n_terms + 2))  # the pairs {1, y}: n + 1 at n
+    for x in range(2, len(units)):
+        coeffs[x * x] += units[x]
+        ys = range(x + 1, n_terms // x + 1)
+        old = coeffs[x * ys.start :: x]
+        coeffs[x * ys.start :: x] = [c + (x + y) // g * units[g] for c, y, g in zip(old, ys, map(gcd, repeat(x), ys))]
+    return coeffs
+
+
+# where the kept class counts, N // 4 + 1 of them, end at a segment edge
+# (N // 4 = SEGMENT - 1, SEGMENT, SEGMENT + 1), and each side of the first
+# k^2 * SEGMENT, where the slice of k's sources opens segment k^2
+INVERSION_EDGE_SIZES = sorted(
+    {4 * SEGMENT - 1, 4 * SEGMENT, 4 * SEGMENT + 3, 4 * SEGMENT + 4}
+    | {n for k in (2, 3) for n in (k * k * SEGMENT - 1, k * k * SEGMENT, k * k * SEGMENT + 1)}
+)
+
+
+def test_inversion_over_the_squares_equals_the_gcd_pass():
+    primitive = primitive_by_gcd_pass(INVERSION_EDGE_SIZES[-1])
+    for n in SEGMENT_EDGE_SIZES + INVERSION_EDGE_SIZES:  # the coefficient of n does not depend on the table's length
+        assert count_primitive_by_det(n).coeffs == tuple(primitive[: n + 1]), n
 
 
 class Writes(list):

@@ -8,6 +8,7 @@ from m2z.matrices import classes_with_det
 from m2z.primes import primes_up_to
 from m2z.zeta import (
     MAX_ZETA_TERMS,
+    SEGMENT,
     CoefficientTable,
     axpb_count,
     count_classes_by_det,
@@ -128,10 +129,12 @@ class TestEnumeration:
         assert count_classes_by_det(n).coeffs == sigma_coeffs(n).coeffs
         assert count_primitive_by_det(n).coeffs == psi_coeffs(n).coeffs
 
-    def test_enumerations_never_use_the_sieve(self, monkeypatch):
+    @pytest.mark.parametrize("n", [1000, 2 * SEGMENT + 1])
+    def test_enumerations_never_use_the_sieve(self, monkeypatch, n):
         # `zeta --mode both` checks each sieve formula against an enumeration,
-        # which shows a sieve fault only if the enumeration does not share it
-        sigma, psi = sigma_coeffs(1000).coeffs, psi_coeffs(1000).coeffs
+        # which shows a sieve fault only if the enumeration does not share it;
+        # 2 * SEGMENT + 1 terms invert the class counts over three segments
+        sigma, psi = sigma_coeffs(n).coeffs, psi_coeffs(n).coeffs
 
         def refuse(n):
             raise AssertionError("an enumeration reached the sieve")
@@ -141,8 +144,8 @@ class TestEnumeration:
         monkeypatch.setattr(zeta, "_fill_twos", refuse)
         with pytest.raises(AssertionError, match="reached the sieve"):
             sigma_coeffs(10)  # the patch is in force
-        assert count_classes_by_det(1000).coeffs == sigma
-        assert count_primitive_by_det(1000).coeffs == psi
+        assert count_classes_by_det(n).coeffs == sigma
+        assert count_primitive_by_det(n).coeffs == psi
 
 
 class TestConvolution:
@@ -166,6 +169,9 @@ class TestConvolution:
             dirichlet_convolve(sigma_coeffs(5), sigma_coeffs(6))
 
 
+TABLE_FNS = [sigma_coeffs, psi_coeffs, count_classes_by_det, count_primitive_by_det, axpb_count, square_indicator_coeffs]
+
+
 class TestMultiplicativity:
     @pytest.mark.parametrize(
         "table_fn", [sigma_coeffs, psi_coeffs, count_classes_by_det, count_primitive_by_det, axpb_count]
@@ -184,14 +190,14 @@ class TestMultiplicativity:
         with pytest.raises(IndexError):
             t.value(11)
 
-    def test_rejects_empty_table(self):
-        with pytest.raises(ValueError):
-            sigma_coeffs(0)
+    @pytest.mark.parametrize("n", [0, -5])
+    @pytest.mark.parametrize("table_fn", TABLE_FNS)
+    def test_rejects_empty_table(self, table_fn, n):
+        # refused by the guard's own message, before isqrt or an allocation sees n
+        with pytest.raises(ValueError, match="need at least one term"):
+            table_fn(n)
 
-    @pytest.mark.parametrize(
-        "table_fn",
-        [sigma_coeffs, psi_coeffs, count_classes_by_det, count_primitive_by_det, axpb_count, square_indicator_coeffs],
-    )
+    @pytest.mark.parametrize("table_fn", TABLE_FNS)
     def test_size_guard(self, table_fn):
         # refused before the sieve or the table is allocated, so this is instant
         with pytest.raises(MemoryError, match=f"over the limit of {MAX_ZETA_TERMS}"):
