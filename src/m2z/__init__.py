@@ -42,7 +42,9 @@ def __getattr__(name: str):
     modules = [globals()[m] for m in _PUBLIC]
     if name == "__all__":
         return [public for m in modules for public in m.__all__]
-    for m in modules:
-        if name in m.__all__:
-            return getattr(m, name)
+    # no private name, nor a submodule before its import (`from m2z import cli` asks first), runs a module
+    if name.isidentifier() and not name.startswith("_") and not find_spec(f"{__name__}.{name}"):
+        for m in modules:
+            if name in m.__all__:
+                return getattr(m, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,6 +9,9 @@ never as floating point.
 
 ``m2z.zetaout`` writes the ``zeta`` payload, from a forked producer when the
 table has more than one segment.
+
+The ``m2z`` script and ``python -m m2z.cli`` end in ``run``, which flushes stdout
+and stderr and calls ``os._exit``; ``main`` returns the exit code in process.
 """
 
 from __future__ import annotations
@@ -65,9 +68,7 @@ def _cmd_ball(args) -> int:
 
 
 def _cmd_zeta(args) -> int:
-    # imported here, so that no other call loads it; `from . import zetaout`
-    # would ask the package's __getattr__, which runs every library module
-    from .zetaout import write_zeta
+    from .zetaout import write_zeta  # here, so that no other call loads it
 
     return write_zeta(args.which, args.terms, args.mode, args.format, args.header)
 
@@ -199,5 +200,17 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(digits)
 
 
+def run() -> None:
+    """Exit with ``main``'s code once stdout and stderr are flushed, skipping the
+    teardown, which writes nothing (about 10 ms).  ``main``'s exceptions propagate."""
+    code = main()
+    try:
+        sys.stdout.flush()  # a usage text, or the part of a payload written before an error
+    except BrokenPipeError:  # as in main: stdout's reader has gone
+        code = 141
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

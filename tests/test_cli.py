@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import resource
@@ -17,6 +18,8 @@ from m2z.supernatural import MoebiusMatrix, moebius_apply, parse_supernatural
 from m2z import supernatural, zeta
 from m2z.textout import CHUNK_PARTS
 from m2z.zeta import MAX_ZETA_TERMS, count_primitive_by_det, psi_coeffs
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -556,8 +559,7 @@ class TestDeterminism:
 
 
 def _fresh_run(*argv):
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run([sys.executable, "-m", "m2z.cli", *argv], env=env, capture_output=True, text=True, timeout=5)
 
 
@@ -637,8 +639,7 @@ def test_literal_bomb_is_refused_at_once(argv, prefix):
 
 
 def _fresh_python(*args):
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run([sys.executable, "-W", "error", *args], env=env, capture_output=True, text=True, timeout=30)
 
 
@@ -729,6 +730,13 @@ def test_the_version_loads_no_module():
     assert (result.stdout, result.stderr) == ("[]\n", "")
 
 
+def test_a_submodule_or_a_dunder_the_package_does_not_serve_runs_no_library_module():
+    # `from m2z import cli` asks the package for "cli" before it imports it
+    probe = f"import sys, types, m2z; from m2z import cli, zetaout; print(hasattr(m2z, '__wrapped__'), {_EXECUTED})"
+    result = _fresh_python("-c", probe)
+    assert (result.stdout, result.stderr) == ("False ['cli', 'zetaout']\n", "")
+
+
 def test_running_the_cli_module_warns_nothing():
     # runpy warns, and runs the module twice, when the package has already put m2z.cli in sys.modules
     result = _fresh_python("-m", "m2z.cli", "hnf", "0,1;2,0")
@@ -754,3 +762,109 @@ print(len(seen), len(set(seen)), any(t.is_alive() for t in threads))
 """
     result = _fresh_python("-c", probe)
     assert (result.stdout, result.stderr) == ("8 1 False\n", "")
+
+
+# The exit path: `m2z` and `python -m m2z.cli` end in cli.run, which flushes
+# stdout and stderr and leaves by os._exit, so no teardown runs after main.
+SUBCOMMAND_CALLS = [  # one call of each subcommand, and a domain error: argv, exit code, stderr
+    (("hnf", "0,1;2,0"), 0, ""),
+    (("dist", "M=2/1,r=0/1", "M=1/2,r=0/1"), 0, ""),
+    (("ball", "M=1,r=0", "--radius", "2", "--format", "dot"), 0, "vertices: 4 edges: 3\n"),
+    (("zeta", "--which", "M", "--terms", "4"), 0, ""),
+    (("ext", "equiv", "2^1", "2^3"), 0, ""),
+    (("ext", "apply", "31,0;-1,30", "2^4*5^2*3^inf"), 0, ""),
+    (("ext", "member", "2^1", "--", "-1/3", "1/3"), 0, ""),
+    (("goormaghtigh", "--bound", "100"), 0, ""),
+    (("hnf", "1,2;2,4"), 1, "error: SingularMatrix: det(1,2;2,4) = 0\n"),
+]
+FAILING_APPLY = ("ext", "apply", "2,0;0,1", "2^1")  # writes its JSON to stdout, then exits 1
+OTHER_EXITS = [FAILING_APPLY, ("hnf", "1,2"), ("zeta", "--which", "M"), ("--help",)]  # 1, 2 for a literal and for usage, 0
+
+
+def entry_point(argv, stdout):
+    """``python -m m2z.cli argv`` without PYTHONUNBUFFERED: stdout is
+    block-buffered unless it is a terminal."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    argv = [sys.executable, "-m", "m2z.cli", *argv]
+    return subprocess.run(argv, env=dict(env, PYTHONPATH=str(SRC)), stdout=stdout, stderr=subprocess.PIPE, timeout=30)
+
+
+@pytest.mark.parametrize("argv", [*TestDeterminism.BATTERY, *(argv for argv, _, _ in SUBCOMMAND_CALLS), *OTHER_EXITS], ids=" ".join)
+def test_the_entry_point_writes_and_exits_as_main_in_process(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # the width of the help text, in process and in the child
+    code, out, err = run(capsys, *argv)
+    listed = {call: (code, err) for call, code, err in SUBCOMMAND_CALLS}
+    assert listed.get(argv, (code, err)) == (code, err)
+    piped = entry_point(argv, subprocess.PIPE)
+    with open(tmp_path / "stdout", "wb") as file:
+        filed = entry_point(argv, file)
+    filed.stdout = (tmp_path / "stdout").read_bytes()
+    for result in piped, filed:
+        assert (result.returncode, result.stdout, result.stderr) == (code, out.encode(), err.encode())
+
+
+# main's own flush, the flush in run of a payload written before an error,
+# and of the help text: each finds no reader and ends the call with 141
+@pytest.mark.parametrize("argv", [("hnf", "0,1;2,0"), FAILING_APPLY, ("--help",)], ids=" ".join)
+def test_a_stdout_without_a_reader_exits_141_with_no_traceback(capsys, argv):
+    _, _, err = run(capsys, *argv)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = entry_point(argv, write_end)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (141, err.encode())
+
+
+_RUN_AS_MAIN = """
+import atexit, runpy, sys
+from m2z import matrices
+atexit.register(print, "teardown")
+if sys.argv.pop(1) == "bug":
+    def hnf(m):
+        raise RuntimeError("a bug")
+    matrices.IntMatrix2  # runs the module, which would bind hnf again on its first use
+    matrices.hnf = hnf
+runpy.run_module("m2z.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_the_module_ends_its_process_without_teardown():
+    result = _fresh_python("-c", _RUN_AS_MAIN, "call", "hnf", "0,1;2,0")
+    payload = '{"hnf": [[2, 0], [0, 1]], "det": 2, "primitive": true, "content": 1}\n'
+    assert (result.returncode, result.stdout, result.stderr) == (0, payload, "")
+
+
+def test_an_exception_that_escapes_main_ends_the_process_as_before():
+    result = _fresh_python("-c", _RUN_AS_MAIN, "bug", "hnf", "0,1;2,0")
+    assert (result.returncode, result.stdout) == (1, "teardown\n")
+    assert result.stderr.startswith("Traceback") and result.stderr.endswith("RuntimeError: a bug\n")
+
+
+# Teardown reported a file left open in a cycle or a module global, as a
+# ResourceWarning on stderr; run skips it.  So each call runs here in process,
+# and a collection after it must find no such file (the filterwarnings =
+# error of pyproject.toml makes the warning an unraisable exception) and no
+# descriptor that was not open before it.
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="reads the open descriptors in /proc/self/fd")
+@pytest.mark.parametrize(
+    "argv, forks",
+    [
+        (("zeta", "--which", "M", "--terms", str(2 * zeta.SEGMENT + 1), "--mode", "both"), 1),
+        (("zeta", "--which", "P", "--terms", str(2 * zeta.SEGMENT + 1), "--mode", "both", "--format", "json"), 1),
+        (("zeta", "--which", "P", "--terms", "1000", "--mode", "both"), 0),
+        (("ball", "M=1,r=0", "--radius", "20"), 0),
+        (FAILING_APPLY, 0),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v),
+)
+def test_a_call_leaves_no_file_open(capsys, monkeypatch, argv, forks):
+    unraisable, forked, fork = [], [], os.fork
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    monkeypatch.setattr(os, "fork", lambda: forked.append(fork()) or forked[-1])
+    gc.collect()
+    descriptors = set(os.listdir("/proc/self/fd"))
+    run(capsys, *argv)
+    gc.collect()
+    assert (set(os.listdir("/proc/self/fd")), unraisable, len(forked)) == (descriptors, [], forks)
