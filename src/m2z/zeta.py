@@ -16,9 +16,9 @@ hyperbola method in its symmetric form: (a, d) and (d, a) have the same
 product, so for each x <= isqrt(N) one slice coeffs[x*(x+1)::x] adds both
 orders of the pairs {x, y}, x < y <= N // x, and coeffs[x*x] the square
 x = y.  That is isqrt(N) slice assignments per segment instead of N ln N loop
-steps; each segment is yielded when its pass is done, so only one segment's
-ints exist and no whole table is held.  The primitive count inverts it over
-the squares (count_primitive_by_det) and keeps its entries up to N // 4.
+steps; each segment is yielded when its pass is done, and no whole table is
+held.  The primitive count inverts it over the squares
+(count_primitive_by_det) and keeps its entries up to N // 4.
 
 The formulas loop over odd n only, on a sieve of the odd primes, a segment at a
 time: sigma and psi are multiplicative, so once a segment's odd entries are set
@@ -27,10 +27,12 @@ odd, with sigma(2^a) = 2^(a+1) - 1 and psi(2^a) = 3 * 2^(a-1).  Every j is at
 most 2^a * j, so the odd entries a segment needs are already set.  A formula
 keeps its whole table, since f(n) reads f(n / p), and yields views of it.
 
-Entries are machine words in array('q'), not int objects: up to MAX_ZETA_TERMS
-every coefficient is at most sigma(n) < 5n, far inside 64 bits.  The public
-functions copy the stream to CoefficientTable's tuple; the CLI writes the
-segments of the private builders (``_sigma_table``, ``_classes_table``, ...).
+Entries are 32-bit machine words, array(WORD), not int objects, and every
+slice update, of the formulas' even fill and of both enumeration passes, is
+one integer operation on the slice's packed lanes: no entry or partial sum
+is negative or reaches 2^31 (see WORD), so no carry or borrow crosses a lane.
+The public functions copy the stream to CoefficientTable's tuple; the CLI
+writes the segments of the private builders (``_sigma_table``, ...).
 """
 
 from __future__ import annotations
@@ -83,12 +85,20 @@ class CoefficientTable(Frozen):
         return self.coeffs[n]
 
 
-# At 3,000,000 terms ``m2z zeta --mode both`` peaks at 46 MB RSS for M and 52 MB
-# for P (its enumeration keeps M up to N // 4) in CSV, 40 and 44 MB in JSON, and
-# ``--mode enumerate`` at 16 and 21 MB; whole tables of machine words read 62 MB
-# for both, and int objects 313 MB.  The limit was set when JSON peaked at 445
-# MB there, near the 450 MB that MAX_BALL_VERTICES was then sized for.
+# At 3,000,000 terms ``m2z zeta --mode both`` peaks at 27 MB RSS for M and 30 MB
+# for P (its enumeration keeps M up to N // 4) in CSV, 26 and 27 MB in JSON, and
+# ``--mode enumerate`` at 16 MB for both; tables of 64-bit words read 45 and
+# 51 MB in CSV, whole tables of them 62 MB, and int objects 313 MB.  The limit
+# was set when JSON peaked at 445 MB there, near the 450 MB that
+# MAX_BALL_VERTICES was then sized for.  The sieve's primes are at most
+# isqrt(MAX_ZETA_TERMS) = 1,732, so they fit array('H').
 MAX_ZETA_TERMS = 3_000_000
+
+# The word of every table.  Up to MAX_ZETA_TERMS every entry, at most
+# sigma(n) < 5n, and every partial sum of _primitive_table's inversion lies in
+# [0, zeta(2) * 5n), below 2^31.
+WORD = "i"
+_LANE_BYTES = array(WORD).itemsize
 
 # Positions per segment of every table: of the enumeration pass, of the
 # formulas' even fill, and of what the CLI's forked producer sends.  Best of 3
@@ -111,40 +121,42 @@ def _check_terms(n: int):
         raise MemoryError(f"{n} terms is over the limit of {MAX_ZETA_TERMS}")
 
 
+def _words(lanes: int, count: int) -> array:
+    """The array(WORD) of ``count`` words whose packed lanes, as
+    int.from_bytes(words, byteorder) reads them, are ``lanes``."""
+    return array(WORD, lanes.to_bytes(count * _LANE_BYTES, byteorder))
+
+
 def _smallest_prime_factors(n: int) -> array:
     """spf[k] = the smallest prime factor of the odd composite j = 2k + 1 <= n;
     0 for the odd primes and 1."""
-    spf = array("i", [0]) * ((n + 1) // 2)
+    spf = array("H", [0]) * ((n + 1) // 2)
     # descending, so the smallest prime dividing j is the last to write spf[k]
     for p in reversed(primes_up_to(isqrt(n))[1:]):
-        spf[p * p // 2 :: p] = array("i", [p]) * len(range(p * p // 2, len(spf), p))
+        spf[p * p // 2 :: p] = array("H", [p]) * len(range(p * p // 2, len(spf), p))
     return spf
 
 
 def _fill_twos(coeffs: array, lo: int, hi: int, f) -> None:
     """Fill the even entries in [lo, hi) of the multiplicative table ``coeffs``
     from its odd ones: coeffs[2^a * j] = f(a) * coeffs[j] for odd j, one slice
-    per 2^a < hi.
-
-    Each slice is multiplied as one integer whose 64-bit lanes are its entries:
-    they are not negative and each product fits in its lane, so no carry
-    crosses a lane, and no entry becomes an int object."""
+    per 2^a < hi, multiplied as one integer of packed lanes: each product is
+    an entry of the table, so it fits in its lane."""
     for a in range(1, hi.bit_length()):
         j, k = -(-lo >> a) | 1, ((hi - 1) >> a) + 1  # the odd j with lo <= 2^a * j < hi
         if j < k:
-            lanes = int.from_bytes(coeffs[j:k:2], byteorder) * f(a)
-            coeffs[j << a : k << a : 2 << a] = array("q", lanes.to_bytes(8 * len(range(j, k, 2)), byteorder))
+            coeffs[j << a : k << a : 2 << a] = _words(int.from_bytes(coeffs[j:k:2], byteorder) * f(a), len(range(j, k, 2)))
 
 
 def _multiplicative_table(n_terms: int, odd_entries, f_two) -> Iterator[memoryview]:
     """The table f(0..n_terms) of a multiplicative f, a segment of SEGMENT
-    positions at a time, each a view of one array('q') that later segments
+    positions at a time, each a view of one array(WORD) that later segments
     never write.  odd_entries(coeffs, pairs) sets f(n) from the entries below n
     for the pairs (n, spf[n // 2]) of the segment's odd n > 1; then _fill_twos
     fills its even entries, f(2^a) = f_two(a)."""
     _check_terms(n_terms)
     spf = _smallest_prime_factors(n_terms)
-    coeffs = array("q", [0]) * (n_terms + 1)  # 64 bits hold sigma(n) < 5n, up to MAX_ZETA_TERMS
+    coeffs = array(WORD, [0]) * (n_terms + 1)
     coeffs[1] = 1
     view = memoryview(coeffs)
     for lo in range(0, n_terms + 1, SEGMENT):
@@ -198,33 +210,46 @@ def _classes_table(n_terms: int) -> Iterator[array]:
     """The symmetric pass (see the module docstring), yielding each segment
     [lo, hi) = [k * SEGMENT, (k + 1) * SEGMENT) as it is done: it starts as
     the pairs {1, y}, n + 1 at n; each x = 2 .. isqrt(hi - 1) adds x at x*x
-    and x + y at x*y for the y > x with x*y in the segment."""
+    and x + y at x*y for the y > x with x*y in the segment.  Both runs,
+    lo + 1 .. hi and x + y, are the packed lanes ramp + start * ones."""
     _check_terms(n_terms)
+    width = min(SEGMENT, n_terms + 1)
+    ramp, ones = array(WORD, range(width)), array(WORD, [1]) * width
+
+    def run(start, count):  # the lanes start, start + 1, ..., start + count - 1
+        return int.from_bytes(ramp[:count], byteorder) + start * int.from_bytes(ones[:count], byteorder)
+
     for lo in range(0, n_terms + 1, SEGMENT):
         hi = min(lo + SEGMENT, n_terms + 1)
-        segment = list(range(lo + 1, hi + 1))
+        segment = _words(run(lo + 1, hi - lo), hi - lo)
         for x in range(2, isqrt(hi - 1) + 1):
             if x * x >= lo:
                 segment[x * x - lo] += x
             ys = range(max(x + 1, -(-lo // x)), (hi - 1) // x + 1)
             k = x * ys.start - lo
-            segment[k::x] = map(add, segment[k::x], range(x + ys.start, x + ys.stop))
+            segment[k::x] = _words(int.from_bytes(segment[k::x], byteorder) + run(x + ys.start, len(ys)), len(ys))
         if not lo:
-            segment[:2] = [0, 1]  # c(1) is the pair {1, 1} alone
-        yield array("q", segment)  # 64 bits hold sigma(n) < 5n, up to MAX_ZETA_TERMS
+            segment[0], segment[1] = 0, 1  # c(1) is the pair {1, 1} alone
+        yield segment
 
 
 def _primitive_table(n_terms: int) -> Iterator[array]:
     """count_primitive_by_det's inversion on the segments of _classes_table:
     the class counts up to N // 4, the only ones a k >= 2 reads, are kept as
-    their segments pass, and each k adds or subtracts one slice of them."""
+    their segments pass, and each k adds or subtracts one slice of them.
+
+    No lane carries or borrows: taken in ascending k, the partial sums at n
+    are M(n) plus or minus some M(n / k^2), k >= 2, and M(n / k^2) =
+    sigma(n / k^2) <= sigma(n) / k^2 (each divisor d of n / k^2 gives the
+    divisor k^2 * d of n), so each lies between (2 - zeta(2)) * sigma(n) > 0
+    and zeta(2) * sigma(n) < zeta(2) * 5n, below 2^31 up to MAX_ZETA_TERMS."""
     _check_terms(n_terms)
     mu = [0, 1] + [0] * (isqrt(n_terms) - 1)
     for k in range(1, len(mu)):
         for m in range(2 * k, len(mu), k):
             mu[m] -= mu[k]
     steps = [(k * k, add if mu[k] > 0 else sub) for k in range(2, len(mu)) if mu[k]]
-    kept = array("q", [0]) * (n_terms // 4 + 1)
+    kept = array(WORD, [0]) * (n_terms // 4 + 1)
     for lo, segment in zip(range(0, n_terms + 1, SEGMENT), _classes_table(n_terms)):
         hi = lo + len(segment)
         kept[lo:hi] = segment[: max(len(kept) - lo, 0)]  # empty once lo > N // 4
@@ -232,7 +257,8 @@ def _primitive_table(n_terms: int) -> Iterator[array]:
             if q >= hi:
                 break
             j, stop = max(1, -(-lo // q)), (hi - 1) // q + 1  # the j with lo <= q * j < hi
-            segment[q * j - lo :: q] = array("q", map(step, segment[q * j - lo :: q], kept[j:stop]))
+            lanes = step(int.from_bytes(segment[q * j - lo :: q], byteorder), int.from_bytes(kept[j:stop], byteorder))
+            segment[q * j - lo :: q] = _words(lanes, stop - j)
         yield segment
 
 
@@ -264,8 +290,8 @@ def count_primitive_by_det(n_terms: int) -> CoefficientTable:
 
 def _axpb_table(n_terms: int) -> Iterator[array]:
     _check_terms(n_terms)
-    ones = array("q", [1]) * SEGMENT
-    yield (array("q", [0]) + ones)[: min(SEGMENT, n_terms + 1)]
+    ones = array(WORD, [1]) * SEGMENT
+    yield (array(WORD, [0]) + ones)[: min(SEGMENT, n_terms + 1)]
     for lo in range(SEGMENT, n_terms + 1, SEGMENT):
         yield ones[: n_terms + 1 - lo]
 

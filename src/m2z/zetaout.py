@@ -57,8 +57,9 @@ def _segments(builders, terms: int, rows: bool):
 
 
 def _forked(produced):
-    """Yield what the generator ``produced`` yields, tuples of array('q')
-    segments, and return what it returns, while a forked child runs it.
+    """Yield what the generator ``produced`` yields, tuples of
+    array(zeta.WORD) segments, and return what it returns, while a forked
+    child runs it.
 
     The child sends one marshal frame per tuple, a list of the segments' raw
     machine words, then the return value, an int, or the module, name and
@@ -91,7 +92,7 @@ def _forked(produced):
         os.close(write_end)
         with open(read_end, "rb") as pipe:
             while type(frame := marshal.load(pipe)) is list:
-                yield tuple(array("q", part) for part in frame)
+                yield tuple(array(zeta.WORD, part) for part in frame)
     except EOFError:  # the child ended before its last frame
         frame = None
     finally:

@@ -194,7 +194,7 @@ class TestZetaCommand:
         sigma = zeta._sigma_table
 
         def faulty(n):  # the formula's segments, wrong at `wrong` entries spread over the table
-            table = array("q", chain.from_iterable(sigma(n)))
+            table = array(zeta.WORD, chain.from_iterable(sigma(n)))
             for k in range(1, n + 1, n // wrong)[:wrong]:
                 table[k] += 1
             return (table[lo : lo + zeta.SEGMENT] for lo in range(0, n + 1, zeta.SEGMENT))
@@ -438,11 +438,11 @@ def zeta_at_the_limit(tmp_path, megabytes, *options):
 
 
 def test_out_of_memory_is_a_usage_error(tmp_path):
-    # the largest table the guard allows needs about 48 MB of address space,
-    # 18 MB of it the interpreter's, so a 32 MB cap refuses it part way: the
-    # MemoryError comes from an allocation, not from a size guard, and
-    # cli.main still maps it to exit 2
-    code, out, err = zeta_at_the_limit(tmp_path, 32, "--which", "P")
+    # the largest table the guard allows fits in 32 MB of address space and
+    # not in 31 MB, about 17 MB of it the interpreter's, so a 24 MB cap
+    # refuses it part way: the MemoryError comes from an allocation, not from
+    # a size guard, and cli.main still maps it to exit 2
+    code, out, err = zeta_at_the_limit(tmp_path, 24, "--which", "P")
     assert code == 2
     assert out.stat().st_size == 0
     assert err == "too large: the answer does not fit in memory\n"

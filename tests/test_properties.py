@@ -10,9 +10,9 @@ from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations, product, repeat, starmap
-from operator import matmul
+from operator import add, matmul
 from math import gcd, isqrt, lcm, prod
 from unittest.mock import patch
 
@@ -57,7 +57,16 @@ from m2z.supernatural import (
     s_of,
 )
 from m2z import textout
-from m2z.zeta import SEGMENT, count_classes_by_det, count_primitive_by_det, psi_coeffs, sigma_coeffs
+from m2z.zeta import (
+    SEGMENT,
+    WORD,
+    _classes_table,
+    _primitive_table,
+    count_classes_by_det,
+    count_primitive_by_det,
+    psi_coeffs,
+    sigma_coeffs,
+)
 
 entries = st.integers(min_value=-30, max_value=30)
 nonsingular = st.builds(IntMatrix2, entries, entries, entries, entries).filter(lambda m: m.det() != 0)
@@ -155,6 +164,47 @@ def primitive_by_gcd_pass(n_terms):
     return coeffs
 
 
+def classes_by_list_pass(n_terms):
+    # the symmetric pass on a list per segment, each slice added element by
+    # element: the reference for the packed lanes of _classes_table, yielding
+    # the same segments
+    for lo in range(0, n_terms + 1, SEGMENT):
+        hi = min(lo + SEGMENT, n_terms + 1)
+        segment = list(range(lo + 1, hi + 1))
+        for x in range(2, isqrt(hi - 1) + 1):
+            if x * x >= lo:
+                segment[x * x - lo] += x
+            ys = range(max(x + 1, -(-lo // x)), (hi - 1) // x + 1)
+            k = x * ys.start - lo
+            segment[k::x] = map(add, segment[k::x], range(x + ys.start, x + ys.stop))
+        if not lo:
+            segment[:2] = [0, 1]
+        yield segment
+
+
+@cache
+def primitive_oracle(n_terms):
+    return primitive_by_gcd_pass(n_terms)
+
+
+# the smallest tables, each side of one and two segment edges, and past four
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3 * SEGMENT))
+@example(1)
+@example(2)
+@example(3)
+@example(SEGMENT - 1)
+@example(SEGMENT)
+@example(SEGMENT + 1)
+@example(2 * SEGMENT + 1)
+@example(4 * SEGMENT + 3)
+def test_packed_lanes_equal_the_list_pass_segment_by_segment(n):
+    classes = list(classes_by_list_pass(n))
+    primitive = primitive_oracle(4 * SEGMENT + 3)  # the coefficient of n does not depend on the table's length
+    assert [segment.tolist() for segment in _classes_table(n)] == classes
+    assert [segment.tolist() for segment in _primitive_table(n)] == [primitive[lo : lo + len(c)] for lo, c in zip(range(0, n + 1, SEGMENT), classes)]
+
+
 # where the kept class counts, N // 4 + 1 of them, end at a segment edge
 # (N // 4 = SEGMENT - 1, SEGMENT, SEGMENT + 1), and each side of the first
 # k^2 * SEGMENT, where the slice of k's sources opens segment k^2
@@ -197,8 +247,9 @@ def test_block_writers_write_the_str_and_json_dumps_text(drawn, lead, shift, hea
     # writers take the table in segments of `piece` rows, as the CLI streams it
     width, rows = drawn
     columns = [(*range(c, c + lead), *column) for c, column in enumerate([*zip(*rows)] or [()] * width)]
-    if machine_words:  # array('q') columns, as the CLI writes its zeta tables: the ints clamped to int64
-        columns = [array("q", (min(max(v, -(1 << 63)), (1 << 63) - 1) for v in column)) for column in columns]
+    if machine_words:  # array(WORD) columns, as the CLI writes its zeta tables: the ints clamped to the word's range
+        top = 1 << (8 * array(WORD).itemsize - 1)
+        columns = [array(WORD, (min(max(v, -top), top - 1) for v in column)) for column in columns]
     length, start = lead + len(rows), max(0, lead + shift)
     digits = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # as cli.main lifts it

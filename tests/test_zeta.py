@@ -1,4 +1,5 @@
-from math import gcd, isqrt
+from array import array
+from math import gcd, isqrt, pi
 
 import pytest
 
@@ -196,6 +197,16 @@ class TestMultiplicativity:
         # refused by the guard's own message, before isqrt or an allocation sees n
         with pytest.raises(ValueError, match="need at least one term"):
             table_fn(n)
+
+    def test_every_entry_fits_a_word_below_the_size_guard(self):
+        # the packed lanes carry no bit into the next lane only while every
+        # entry and every partial sum of the primitive inversion, at most
+        # zeta(2) * sigma(n) < zeta(2) * 5n, stays below the word's sign bit;
+        # sigma(n) < 5n holds below 122,522,400, the least n with sigma(n) >= 5n
+        assert MAX_ZETA_TERMS < 122_522_400
+        assert pi**2 / 6 * 5 * MAX_ZETA_TERMS < 2 ** (8 * array(zeta.WORD).itemsize - 1)
+        for build in (zeta._sigma_table, zeta._psi_table, zeta._classes_table, zeta._primitive_table, zeta._axpb_table):
+            assert {memoryview(segment).format for segment in build(SEGMENT + 1)} == {zeta.WORD}
 
     @pytest.mark.parametrize("table_fn", TABLE_FNS)
     def test_size_guard(self, table_fn):
