@@ -342,6 +342,9 @@ class TestExtCommand:
         assert code == 2
         assert "parse error" in err
 
+    def test_a_composite_base_with_exponent_0_is_refused(self, capsys):
+        assert run(capsys, "ext", "equiv", "4^0", "1") == (2, "", "parse error: 4 is not prime\n")
+
     def test_removed_flag_is_a_usage_error(self, capsys):
         code, out, _ = run(capsys, "ext", "equiv", "2^1", "2^3", "--search-bound", "5")
         assert code == 2
@@ -661,7 +664,7 @@ print(json.dumps([code, {_EXECUTED}, loaded]))
 
 # unexecuted: the m2z modules, and json and heapq, that the call must not run;
 # the tables are integers, written by textout's % formats without json, and
-# only the goormaghtigh search merges with heapq
+# no call merges with heapq: the goormaghtigh search tests each repunit by roots
 @pytest.mark.parametrize(
     "argv, unexecuted",
     [
@@ -672,7 +675,7 @@ print(json.dumps([code, {_EXECUTED}, loaded]))
             ("zeta", "--which", "P", "--terms", "2000", "--mode", "both", "--format", "json"),
             {"bigpicture", "localposet", "matrices", "supernatural", "json"},
         ),
-        (("goormaghtigh", "--bound", "10000", "--header"), {"bigpicture", "localposet", "zeta", "json"}),
+        (("goormaghtigh", "--bound", "10000", "--header"), {"bigpicture", "localposet", "zeta", "json", "heapq"}),
     ],
 )
 def test_a_call_runs_only_the_modules_of_its_subcommand(argv, unexecuted):

@@ -46,6 +46,7 @@ from m2z.supernatural import (
     ExtMatrix,
     MoebiusMatrix,
     NotEquivalent,
+    _max_base,
     equiv_decide,
     ext_membership,
     moebius_apply,
@@ -335,6 +336,19 @@ def test_vertex_literal_round_trip(v):
 @given(supernaturals)
 def test_supernatural_literal_round_trip(z):
     assert parse_supernatural(str(z)) == z
+
+
+# the lemma goormaghtigh_search rests on: the length-m repunit R strictly
+# increases with the base, so _max_base(v, m) is the one base y with R(y) = v
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 64), st.integers(2, 10**9))
+def test_max_base_inverts_the_repunit_of_each_length(m, y):
+    def repunit(base):
+        return (base**m - 1) // (base - 1)
+
+    assert _max_base(repunit(y), m) == y
+    assert _max_base(repunit(y + 1) - 1, m) == y
+    assert _max_base(repunit(y) - 1, m) == max(y - 1, 1)  # 1: no base >= 2 fits below R(2)
 
 
 # the divisibility lattice and the hyper-distance

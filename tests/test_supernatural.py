@@ -17,6 +17,7 @@ from m2z.supernatural import (
     ExtMatrix,
     MoebiusMatrix,
     NotEquivalent,
+    _max_base,
     equiv_decide,
     ext_membership,
     goormaghtigh_search,
@@ -87,6 +88,13 @@ class TestComponentwise:
         for bad in ("4^1", "2^1*2^2", "2", "2^", "x", "2^-1", "2^1**3^1"):
             with pytest.raises(ValueError):
                 parse_supernatural(bad)
+
+    def test_a_base_with_exponent_0_is_tested_for_primality(self):
+        for bad, base in (("4^0", 4), ("0^0", 0), ("1^0", 1), ("2^0*4^0", 4), ("3^1*6^0", 6)):
+            with pytest.raises(ValueError, match=f"^{base} is not prime$"):
+                parse_supernatural(bad)
+        assert parse_supernatural("2^0") == ONE
+        assert parse_supernatural("2^0*3^1*5^0") == s_of(3)
 
 
 class TestMoebiusMatrix:
@@ -435,9 +443,9 @@ class TestGoormaghtigh:
 
     @staticmethod
     def hashed(bound, shortest):
-        """The search the merged streams replaced: hash every repunit of length
-        >= shortest up to bound; from 4 up, add each value's length-3 partner
-        by the square test 4v - 3 = (2y + 1)^2."""
+        """The reference search by hashing: hash every repunit of length >=
+        shortest up to bound; from 4 up, add each value's length-3 partner by
+        the square test 4v - 3 = (2y + 1)^2."""
         hits, x = {}, 2
         while (value := (x**shortest - 1) // (x - 1)) <= bound:
             for n in count(shortest):
@@ -463,6 +471,27 @@ class TestGoormaghtigh:
 
     def test_matches_hashing_the_longer_repunits_at_10_to_the_12(self):
         assert goormaghtigh_search(10**12) == self.hashed(10**12, 4) == [(2, 5, 5, 3, 31), (2, 90, 13, 3, 8191)]
+
+    def test_matches_hashing_at_the_length_4_edges_of_large_bases(self):
+        edges = [(x**4 - 1) // (x - 1) + k for x in (10**4, 10**5) for k in (-1, 0, 1)]
+        expected = self.hashed(max(edges), 4)
+        for b in edges:
+            assert goormaghtigh_search(b) == [row for row in expected if row[4] <= b], b
+
+    def test_tests_each_repunit_against_every_shorter_length_from_4_by_one_root(self, monkeypatch):
+        # no known coincidence has m >= 4, so only the number of root calls shows that branch runs
+        bound, calls = 10**6, []
+
+        def counted(value, m):
+            calls.append((value, m))
+            return _max_base(value, m)
+
+        monkeypatch.setattr("m2z.supernatural._max_base", counted)
+        assert goormaghtigh_search(bound) == [(2, 5, 5, 3, 31), (2, 90, 13, 3, 8191)]
+        bases = {n: sum((x**n - 1) // (x - 1) <= bound for x in range(2, 101)) for n in range(4, 21)}
+        lengths = [n for n in bases if bases[n]]
+        assert calls[: len(lengths)] == [(bound, n) for n in lengths]  # the guard's range per length
+        assert len(calls) - len(lengths) == sum((n - 4) * bases[n] for n in lengths if n >= 5)
 
     def test_size_guard(self):
         # about 1.1 * 10^6 repunits of length >= 4 lie below 1.19 * 10^18
