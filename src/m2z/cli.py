@@ -10,15 +10,20 @@ never as floating point.
 ``m2z.zetaout`` writes the ``zeta`` payload, from a forked producer when the
 table has more than one segment.
 
+``_GRAMMAR`` states the subcommands once.  ``_fast_parse`` reads a well-formed
+argv from it, so such a call loads no ``argparse``; ``--help``, usage errors
+and every argv it declines go to the argparse parser ``_build_parser`` makes
+from the same table, unchanged.
+
 The ``m2z`` script and ``python -m m2z.cli`` end in ``run``, which flushes stdout
 and stderr and calls ``os._exit``; ``main`` returns the exit code in process.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace  # loaded already: the package imports ModuleType from it
 
 from . import bigpicture, errors, matrices, supernatural
 # json is imported by the handlers that print it: a ball call never loads it.
@@ -112,69 +117,112 @@ def _cmd_goormaghtigh(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# The grammar, stated once: each subcommand's help, handler and add_argument
+# calls (flag, keyword arguments) in order; ext has a table of its own instead.
+_GRAMMAR = {
+    "hnf": ("canonical class of an integer matrix", _cmd_hnf, [("matrix", {"help": 'matrix literal "a,b;c,d"'})]),
+    "dist": ("hyper-distance between two classes or vertices", _cmd_dist, [
+        ("x", {"help": 'vertex "M=num/den,r=g/h" or matrix "a,b;c,d"'}), ("y", {})]),
+    "ball": ("vertices within a hyper-distance radius", _cmd_ball, [
+        ("center", {"help": 'vertex "M=num/den,r=g/h" or primitive matrix'}),
+        ("--radius", {"type": int, "required": True}),
+        ("--format", {"choices": ("json", "dot"), "default": "json"})]),
+    "zeta": ("Dirichlet coefficient tables", _cmd_zeta, [
+        ("--which", {"choices": ("M", "P", "Pbar"), "required": True}),
+        ("--terms", {"type": int, "required": True}),
+        ("--mode", {"choices": ("formula", "enumerate", "both"), "default": "formula"}),
+        ("--format", {"choices": ("csv", "json"), "default": "csv"}),
+        ("--header", {"action": "store_true", "help": "prepend a CSV header row"})]),
+    "ext": ("extension classes: equivalence, action, membership", None, {
+        "equiv": ("decide isomorphism of two classes", _cmd_equiv, [
+            ("z1", {"help": 'supernatural literal, e.g. "2^4*5^2*7^inf"'}), ("z2", {})]),
+        "apply": ("apply a projective matrix to a class", _cmd_apply, [
+            ("matrix", {"help": 'rational matrix literal "a,b;c,d"'}), ("z", {})]),
+        "member": ("test membership of a column (u, v)", _cmd_member, [
+            ("z", {}), ("u", {}), ("v", {}),
+            ("--s", {"default": "1", "help": 'the s entry (default "1")'}),
+            ("--sprime", {"default": "0", "help": 'the s\' entry (default "0")'})]),
+    }),
+    "goormaghtigh": ("repunit coincidence search", _cmd_goormaghtigh, [
+        ("--bound", {"type": int, "required": True}), ("--header", {"action": "store_true"})]),
+}
+
+
+def _add_commands(subparsers, grammar) -> None:
+    for name, (text, func, arguments) in grammar.items():
+        parser = subparsers.add_parser(name, help=text)
+        if func is None:  # ext
+            _add_commands(parser.add_subparsers(dest="ext_command", required=True), arguments)
+            continue
+        for flag, kwargs in arguments:
+            parser.add_argument(flag, **kwargs)
+        parser.set_defaults(func=func)
+
+
+def _build_parser():
+    import argparse  # only here: a well-formed call is read by _fast_parse
+
     parser = argparse.ArgumentParser(
         prog="m2z",
         description="Exact 2x2 integer matrix classes, the big picture, zeta "
         "coefficient tables, and extension classification.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_hnf = sub.add_parser("hnf", help="canonical class of an integer matrix")
-    p_hnf.add_argument("matrix", help='matrix literal "a,b;c,d"')
-    p_hnf.set_defaults(func=_cmd_hnf)
-
-    p_dist = sub.add_parser("dist", help="hyper-distance between two classes or vertices")
-    p_dist.add_argument("x", help='vertex "M=num/den,r=g/h" or matrix "a,b;c,d"')
-    p_dist.add_argument("y")
-    p_dist.set_defaults(func=_cmd_dist)
-
-    p_ball = sub.add_parser("ball", help="vertices within a hyper-distance radius")
-    p_ball.add_argument("center", help='vertex "M=num/den,r=g/h" or primitive matrix')
-    p_ball.add_argument("--radius", type=int, required=True)
-    p_ball.add_argument("--format", choices=("json", "dot"), default="json")
-    p_ball.set_defaults(func=_cmd_ball)
-
-    p_zeta = sub.add_parser("zeta", help="Dirichlet coefficient tables")
-    p_zeta.add_argument("--which", choices=("M", "P", "Pbar"), required=True)
-    p_zeta.add_argument("--terms", type=int, required=True)
-    p_zeta.add_argument("--mode", choices=("formula", "enumerate", "both"), default="formula")
-    p_zeta.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_zeta.add_argument("--header", action="store_true", help="prepend a CSV header row")
-    p_zeta.set_defaults(func=_cmd_zeta)
-
-    p_ext = sub.add_parser("ext", help="extension classes: equivalence, action, membership")
-    ext_sub = p_ext.add_subparsers(dest="ext_command", required=True)
-    p_equiv = ext_sub.add_parser("equiv", help="decide isomorphism of two classes")
-    p_equiv.add_argument("z1", help='supernatural literal, e.g. "2^4*5^2*7^inf"')
-    p_equiv.add_argument("z2")
-    p_equiv.set_defaults(func=_cmd_equiv)
-    p_apply = ext_sub.add_parser("apply", help="apply a projective matrix to a class")
-    p_apply.add_argument("matrix", help='rational matrix literal "a,b;c,d"')
-    p_apply.add_argument("z")
-    p_apply.set_defaults(func=_cmd_apply)
-    p_member = ext_sub.add_parser("member", help="test membership of a column (u, v)")
-    p_member.add_argument("z")
-    p_member.add_argument("u")
-    p_member.add_argument("v")
-    p_member.add_argument("--s", default="1", help='the s entry (default "1")')
-    p_member.add_argument("--sprime", default="0", help='the s\' entry (default "0")')
-    p_member.set_defaults(func=_cmd_member)
-
-    p_goor = sub.add_parser("goormaghtigh", help="repunit coincidence search")
-    p_goor.add_argument("--bound", type=int, required=True)
-    p_goor.add_argument("--header", action="store_true")
-    p_goor.set_defaults(func=_cmd_goormaghtigh)
-
+    _add_commands(parser.add_subparsers(dest="command", required=True), _GRAMMAR)
     return parser
 
 
+def _fast_parse(argv):
+    """The namespace argparse builds from a well-formed ``argv``, or None to leave it to argparse.
+
+    Read here: the subcommand names, then exact option names, each given once,
+    a value option followed by a value not starting with "-", positionals not
+    starting with "-", and one ``--`` before the last token, after which every
+    token is a positional.  ``-h``, abbreviations, ``--opt=value`` and every
+    usage error are declined.
+    """
+    command, *tokens = argv or [None]
+    entry, args = _GRAMMAR.get(command), {"command": command}
+    if entry and entry[1] is None:  # ext
+        args["ext_command"], *tokens = tokens or [None]
+        entry = entry[2].get(args["ext_command"])
+    if entry is None or tokens.count("--") > 1 or tokens[-1:] == ["--"]:  # argparse reads `dist -- a --` as y = []
+        return None
+    _, func, arguments = entry
+    options = {flag: kwargs for flag, kwargs in arguments if flag[0] == "-"}
+    positionals, given, tokens = [], {}, iter(tokens)
+    for token in tokens:
+        if token == "--":
+            positionals += tokens
+        elif token[:1] != "-":
+            positionals.append(token)
+        elif token not in options or token in given:
+            return None
+        elif "action" in options[token]:  # store_true
+            given[token] = True
+        else:
+            kwargs, value = options[token], next(tokens, "-")
+            try:
+                given[token] = kwargs.get("type", str)(value)
+            except ValueError:
+                return None
+            if value[:1] == "-" or given[token] not in kwargs.get("choices", [given[token]]):
+                return None
+    names = [flag for flag, _ in arguments if flag[0] != "-"]
+    if len(positionals) != len(names) or any(kwargs.get("required") and flag not in given for flag, kwargs in options.items()):
+        return None
+    for flag, kwargs in options.items():
+        args[flag[2:]] = given.get(flag, kwargs.get("default", False if "action" in kwargs else None))
+    return SimpleNamespace(**args, **dict(zip(names, positionals)), func=func)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    argv = sys.argv[1:] if argv is None else argv
+    args = _fast_parse(argv)  # before the int-digit limit is lifted below
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     digits = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # argv bounds the literals; an answer may have more than 4,300 digits
     try:

@@ -656,7 +656,7 @@ before = set(sys.modules)
 from m2z.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = main(sys.argv[1:])
-loaded = [name for name in ("fractions", "heapq", "json") if name in set(sys.modules) - before]  # taken before the probe imports json
+loaded = [name for name in ("argparse", "fractions", "heapq", "json") if name in set(sys.modules) - before]  # taken before the probe imports json
 import json
 print(json.dumps([code, {_EXECUTED}, loaded]))
 """
@@ -664,7 +664,8 @@ print(json.dumps([code, {_EXECUTED}, loaded]))
 
 # unexecuted: the m2z modules, and json and heapq, that the call must not run;
 # the tables are integers, written by textout's % formats without json, and
-# no call merges with heapq: the goormaghtigh search tests each repunit by roots
+# no call merges with heapq: the goormaghtigh search tests each repunit by roots.
+# No well-formed call imports argparse: cli._fast_parse reads it.
 @pytest.mark.parametrize(
     "argv, unexecuted",
     [
@@ -684,7 +685,7 @@ def test_a_call_runs_only_the_modules_of_its_subcommand(argv, unexecuted):
     code, executed, loaded = json.loads(result.stdout)
     assert code == 0
     assert not unexecuted & {*executed, *loaded}
-    assert "fractions" not in loaded  # nothing in these calls builds a rational
+    assert not {"argparse", "fractions"} & set(loaded)  # nothing in these calls builds a rational
 
 
 # off the origin too: an integer or matrix centre is moved in integers, never unembedded
@@ -695,12 +696,26 @@ def test_an_origin_ball_call_runs_bigpicture_and_loads_no_fractions_or_json(cent
     code, executed, loaded = json.loads(result.stdout)
     assert code == 0 and "bigpicture" in executed
     assert not {"localposet", "supernatural", "zeta"} & set(executed)
-    assert loaded == []  # the ball is streamed as integer triples and written without json
+    assert loaded == []  # the ball is streamed as integer triples and written without json, argv read without argparse
+
+
+# help and usage errors are argparse's own: its text and exit codes are kept
+@pytest.mark.parametrize("argv, code", [(("--help",), 0), (("ball", "M=1,r=0", "--radius", "2", "--format", "yaml"), 2)])
+def test_help_and_a_usage_error_go_to_argparse(argv, code):
+    result = _fresh_python("-c", _CALL_PROBE, *argv)
+    assert result.stderr == ""
+    assert json.loads(result.stdout)[0::2] == [code, ["argparse"]]
+
+
+def test_the_fast_parse_agrees_with_argparse_on_the_argv_corpus():
+    result = _fresh_python(str(Path(__file__).with_name("fast_parse_corpus.py")))
+    assert (result.returncode, result.stderr) == (0, "")
+    assert " argv, 0 disagreements, Python " in result.stdout
 
 
 def test_a_module_whose_first_run_raised_runs_again_on_the_next_access():
     probe = """
-import sys, types
+import math, sys, types  # math is not loaded at start-up from Python 3.12 on
 import m2z
 math, sys.modules["math"] = sys.modules["math"], None  # zeta's own "from math import ..." fails
 try:

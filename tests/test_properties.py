@@ -11,7 +11,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import combinations, product, repeat, starmap
+from itertools import chain, combinations, product, repeat, starmap
 from operator import add, matmul
 from math import gcd, isqrt, lcm, prod
 from unittest.mock import patch
@@ -19,8 +19,10 @@ from unittest.mock import patch
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from fast_parse_corpus import argparse_reading
+
 from m2z.bigpicture import BigPictureVertex, _upper_neighbours, ball, ball_stream, embed, parse_vertex
-from m2z.cli import main
+from m2z.cli import _GRAMMAR, _fast_parse, main
 from m2z.errors import Degenerate, DomainError, NotAUnit, NotRepresentable
 from m2z.localposet import localize, upward_neighbors
 from m2z.matrices import (
@@ -920,3 +922,48 @@ def test_every_cli_call_keeps_the_contract(call):
     else:
         assert code == 2, argv
         assert out == "" and err.startswith(("parse error:", "too large:")) and err.count("\n") == 1, (argv, err)
+
+
+# Every subcommand path with its add_argument table, and what the argv around a call is drawn from
+SUBCOMMAND_PATHS = [
+    ((name, *inner), arguments)
+    for name, (_, func, table) in _GRAMMAR.items()
+    for inner, arguments in ([((), table)] if func else [((sub,), entry[2]) for sub, entry in table.items()])
+]
+ODD_VALUES = ["-5", "-", "", "1_000", "٣", " 7 ", "1e3", "--", "-h"]
+ODD_WORDS = ["--", "--", "-h", "--help", "ext", "hnf", "member", "--radius", "--s", "x"]
+
+
+@st.composite
+def argv_mixes(draw):
+    """A subcommand's positionals and options in any order, each option exact,
+    abbreviated or with "=", values of every kind, and "--", -h and other words
+    inserted anywhere."""
+    path, arguments = draw(st.sampled_from(SUBCOMMAND_PATHS))
+    units = []
+    for flag, kwargs in arguments:
+        good = kwargs.get("choices") or (["3", "0", "40"] if "type" in kwargs else ["2^1", "0,1;2,0", "M=1,r=0"])
+        value = draw(st.sampled_from(good if draw(st.integers(0, 3)) else ODD_VALUES))
+        if flag[0] != "-":
+            units.append([value])
+        elif draw(st.integers(0, 9)) if kwargs.get("required") else draw(st.booleans()):  # a required one is left out once in ten
+            form = draw(st.sampled_from(["exact", "exact", "exact", "abbreviated", "equals"]))
+            name = flag[:-1] if form == "abbreviated" and len(flag) > 3 else flag
+            units.append([f"{name}={value}"] if form == "equals" else [name] if "action" in kwargs else [name, value])
+            if draw(st.integers(0, 9)) == 0:  # repeated
+                units.append(units[-1])
+    argv = [*path, *chain.from_iterable(draw(st.permutations(units)))]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(ODD_WORDS)))
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(argv_mixes())
+@example(["dist", "--", "a", "--"])  # argparse reads y = []
+@example(["goormaghtigh", "--bound", "0", "--"])  # an argparse error
+@example(["dist", "--", "--terms", "--"])
+@example(["ext", "member", "--", "2^1", "--", "1/3"])  # argparse reads u = []
+def test_the_fast_parse_reads_what_argparse_reads_or_declines(argv):
+    fast = _fast_parse(argv)
+    assert fast is None or vars(fast) == argparse_reading(argv), argv
