@@ -4,7 +4,8 @@ Payloads go to stdout, diagnostics to stderr.  Exit codes: 0 on success,
 1 on domain errors (singular matrix, not divisible, not a unit, ...),
 2 on usage or literal-parse errors and on inputs too large for memory,
 141 when stdout is closed before the payload is written (``m2z ... | head``),
-without a traceback.  Fractions are always rendered as "num/den" strings,
+without a traceback, and 1 when another write of stdout fails (a full device),
+with one stderr line.  Fractions are always rendered as "num/den" strings,
 never as floating point.
 
 ``m2z.zetaout`` writes the ``zeta`` payload, from a forked producer when the
@@ -15,8 +16,9 @@ argv from it, so such a call loads no ``argparse``; ``--help``, usage errors
 and every argv it declines go to the argparse parser ``_build_parser`` makes
 from the same table, unchanged.
 
-The ``m2z`` script and ``python -m m2z.cli`` end in ``run``, which flushes stdout
-and stderr and calls ``os._exit``; ``main`` returns the exit code in process.
+``main`` alone sets the exit code and flushes stdout.  The ``m2z`` script and
+``python -m m2z.cli`` end in ``run``, which flushes stderr and calls
+``os._exit`` with ``main``'s code; ``main`` returns it in process.
 """
 
 from __future__ import annotations
@@ -26,11 +28,14 @@ import sys
 from types import SimpleNamespace  # loaded already: the package imports ModuleType from it
 
 from . import bigpicture, errors, matrices, supernatural
-# json is imported by the handlers that print it: a ball call never loads it.
 
 
-def _cmd_hnf(args) -> int:
-    import json
+def _print_json(payload) -> None:
+    import json  # only here: ball, zeta and goormaghtigh write their payloads without it, and never load it
+    print(json.dumps(payload))
+
+
+def _cmd_hnf(args) -> None:
     m = matrices.parse_matrix(args.matrix)
     h = matrices.hnf(m)
     payload = {
@@ -39,8 +44,7 @@ def _cmd_hnf(args) -> int:
         "primitive": h.is_primitive,
         "content": h.content,
     }
-    print(json.dumps(payload))
-    return 0
+    _print_json(payload)
 
 
 def _read_class(text: str) -> matrices.MatrixClass:
@@ -48,8 +52,7 @@ def _read_class(text: str) -> matrices.MatrixClass:
     return bigpicture._vertex_class(text) if "=" in text else matrices.hnf(matrices.parse_matrix(text))
 
 
-def _cmd_dist(args) -> int:
-    import json
+def _cmd_dist(args) -> None:
     mx, my = _read_class(args.x), _read_class(args.y)
     d = matrices.hyper_distance(mx, my)
     if mx.is_primitive and my.is_primitive:  # both are vertices of the picture
@@ -57,11 +60,10 @@ def _cmd_dist(args) -> int:
         payload = {"delta": d, "via_alpha": via, "agree": via == d}
     else:
         payload = {"delta": d, "via_alpha": None, "agree": None}
-    print(json.dumps(payload))
-    return 0
+    _print_json(payload)
 
 
-def _cmd_ball(args) -> int:
+def _cmd_ball(args) -> None:
     vertices, edges, *graph = bigpicture.ball_stream(_read_class(args.center), args.radius)
     if args.format == "dot":
         bigpicture.export_dot(graph, sys.stdout)
@@ -69,52 +71,45 @@ def _cmd_ball(args) -> int:
         bigpicture.export_json(graph, sys.stdout)
         sys.stdout.write("\n")
     print(f"vertices: {vertices} edges: {edges}", file=sys.stderr)
-    return 0
 
 
-def _cmd_zeta(args) -> int:
+def _cmd_zeta(args) -> None:
     from .zetaout import write_zeta  # here, so that no other call loads it
 
-    return write_zeta(args.which, args.terms, args.mode, args.format, args.header)
+    write_zeta(args.which, args.terms, args.mode, args.format, args.header)
 
 
-def _cmd_equiv(args) -> int:
-    import json
+def _cmd_equiv(args) -> None:
     verdict = supernatural.equiv_decide(*map(supernatural.parse_supernatural, (args.z1, args.z2)))
     if isinstance(verdict, supernatural.Equivalent):
         w = verdict.witness
         payload = {"verdict": "Equivalent", "witness": [[w.a, w.b], [w.c, w.d]]}
     else:
         payload = {"verdict": "NotEquivalent", "reason": verdict.reason}
-    print(json.dumps(payload))
-    return 0
+    _print_json(payload)
 
 
-def _cmd_apply(args) -> int:
+def _cmd_apply(args) -> None:
     try:
         image = supernatural.moebius_apply(supernatural.parse_moebius(args.matrix), supernatural.parse_supernatural(args.z))
     except errors.DomainError as exc:  # Degenerate, NotAUnit or NotRepresentable; main reports it
         prime = getattr(exc, "prime", None)
-        import json
-        print(json.dumps({"error": type(exc).__name__} | ({} if prime is None else {"prime": prime})))
+        _print_json({"error": type(exc).__name__} | ({} if prime is None else {"prime": prime}))
         raise
     print(str(image))
-    return 0
 
 
-def _cmd_member(args) -> int:
+def _cmd_member(args) -> None:
     x = supernatural.ExtMatrix(*map(supernatural.parse_supernatural, (args.s, args.z, args.sprime)))
     [u], [v] = (matrices._numbers(rf"\s*{matrices._RATIONAL}\s*", text, "a rational num/den") for text in (args.u, args.v))
     print("true" if supernatural.ext_membership(x, u, v) else "false")
-    return 0
 
 
-def _cmd_goormaghtigh(args) -> int:
+def _cmd_goormaghtigh(args) -> None:
     rows = supernatural.goormaghtigh_search(args.bound)
     sys.stdout.write("x,y,n,m,value\n" * args.header + "%d,%d,%d,%d,%d\n" * len(rows) % sum(rows, ()))
     if any(row[4] == 8191 for row in rows):
         print(f"note: {supernatural.GOORMAGHTIGH_8191_NOTE}", file=sys.stderr)
-    return 0
 
 
 # The grammar, stated once: each subcommand's help, handler and add_argument
@@ -217,45 +212,48 @@ def _fast_parse(argv):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _fast_parse(argv)  # before the int-digit limit is lifted below
-    if args is None:
-        try:
-            args = _build_parser().parse_args(argv)
-        except SystemExit as exc:
-            return exc.code if isinstance(exc.code, int) else 2
     digits = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)  # argv bounds the literals; an answer may have more than 4,300 digits
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # a reader gone from stdout shows here, not at exit
-        return code
+        try:
+            args = _fast_parse(argv) or _build_parser().parse_args(argv)  # under the int-digit limit
+            # argparse reads a second or trailing "--" as the positional []
+            if unbound := [name for name, value in vars(args).items() if type(value) is list]:
+                raise ValueError(f'no literal for {unbound[0]} (a second or trailing "--" leaves it empty)')
+            sys.set_int_max_str_digits(0)  # argv bounds the literals; an answer may have more than 4,300 digits
+            args.func(args)
+            return 0
+        except SystemExit as exc:  # argparse has written --help's text (0) or a usage error (2)
+            return exc.code
+        except (ValueError, OverflowError) as exc:
+            print(f"parse error: {exc}", file=sys.stderr)
+            return 2
+        except errors.DomainError as exc:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
+        except MemoryError as exc:
+            print(f"too large: {str(exc) or 'the answer does not fit in memory'}", file=sys.stderr)
+            return 2
+        finally:
+            sys.set_int_max_str_digits(digits)
+            sys.stdout.flush()  # on every path; a failed write shows here, not at exit, and replaces the code returned
     except BrokenPipeError:
         # stdout's reader has gone (``m2z ... | head``).  As the Python docs'
-        # SIGPIPE note does, point stdout at os.devnull, so that the flush at
-        # exit does not fail again; 141 is what a shell reports for SIGPIPE.
+        # SIGPIPE note does, point stdout at os.devnull, so that a later flush
+        # does not fail again; 141 is what a shell reports for SIGPIPE.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (ValueError, OverflowError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except errors.DomainError as exc:
+    except OSError as exc:  # a write the system refused: stdout on a full device, ...
+        if exc.errno is None:  # raised by m2z, not the system: zetaout's producer ended early, a fault shown in full
+            raise
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except MemoryError as exc:
-        print(f"too large: {str(exc) or 'the answer does not fit in memory'}", file=sys.stderr)
-        return 2
-    finally:
-        sys.set_int_max_str_digits(digits)
 
 
 def run() -> None:
-    """Exit with ``main``'s code once stdout and stderr are flushed, skipping the
-    teardown, which writes nothing (about 10 ms).  ``main``'s exceptions propagate."""
+    """Exit with ``main``'s code once stderr is flushed (``main`` flushes
+    stdout), skipping the teardown, which writes nothing (about 10 ms).
+    ``main``'s exceptions propagate."""
     code = main()
-    try:
-        sys.stdout.flush()  # a usage text, or the part of a payload written before an error
-    except BrokenPipeError:  # as in main: stdout's reader has gone
-        code = 141
     sys.stderr.flush()
     os._exit(code)
 

@@ -119,9 +119,9 @@ def _json_parts(segments, both: bool, mism: list):
     yield f', "mismatches": {mism[0]}}}\n' if both else "\n"
 
 
-def write_zeta(which: str, terms: int, mode: str, fmt: str, header: bool) -> int:
+def write_zeta(which: str, terms: int, mode: str, fmt: str, header: bool) -> None:
     """Write the payload of ``m2z zeta`` to stdout and its mismatch count, if
-    any, to stderr; exit code 0."""
+    any, to stderr."""
     zeta._check_terms(terms)  # a refused size forks nothing
     names = _ROUTES[which]
     builders = [getattr(zeta, name) for name in {"formula": names[:1], "enumerate": names[1:], "both": names}[mode]]
@@ -148,4 +148,3 @@ def write_zeta(which: str, terms: int, mode: str, fmt: str, header: bool) -> int
         stream.close()  # reaps a forked producer, also when stdout fails
     if len(builders) == 2:
         print(f"mismatches: {mism[0]}", file=sys.stderr)
-    return 0

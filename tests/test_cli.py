@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from m2z.bigpicture import ball, export_dot, export_json, parse_vertex
-from m2z.cli import main
+from m2z.cli import _fast_parse, main
 from m2z.supernatural import MoebiusMatrix, moebius_apply, parse_supernatural
 from m2z import supernatural, zeta
 from m2z.textout import CHUNK_PARTS
@@ -783,7 +783,8 @@ print(len(seen), len(set(seen)), any(t.is_alive() for t in threads))
 
 
 # The exit path: `m2z` and `python -m m2z.cli` end in cli.run, which flushes
-# stdout and stderr and leaves by os._exit, so no teardown runs after main.
+# stderr and leaves by os._exit with main's code, so no teardown runs after
+# main; main has flushed stdout on every path.
 SUBCOMMAND_CALLS = [  # one call of each subcommand, and a domain error: argv, exit code, stderr
     (("hnf", "0,1;2,0"), 0, ""),
     (("dist", "M=2/1,r=0/1", "M=1/2,r=0/1"), 0, ""),
@@ -797,6 +798,14 @@ SUBCOMMAND_CALLS = [  # one call of each subcommand, and a domain error: argv, e
 ]
 FAILING_APPLY = ("ext", "apply", "2,0;0,1", "2^1")  # writes its JSON to stdout, then exits 1
 OTHER_EXITS = [FAILING_APPLY, ("hnf", "1,2"), ("zeta", "--which", "M"), ("--help",)]  # 1, 2 for a literal and for usage, 0
+# argparse binds the positional after a second or trailing "--" to [], which main refuses
+LIST_POSITIONALS = [("dist", "--", "M=1,r=0", "--"), ("ext", "equiv", "--", "2^1", "--"), ("ext", "member", "--", "2^1", "--", "1/3")]
+
+
+@pytest.mark.parametrize("argv, name", zip(LIST_POSITIONALS, ["y", "z2", "u"]), ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
+def test_a_positional_argparse_leaves_empty_is_a_parse_error(capsys, argv, name):
+    assert _fast_parse(list(argv)) is None  # argparse reads these argv
+    assert run(capsys, *argv) == (2, "", f'parse error: no literal for {name} (a second or trailing "--" leaves it empty)\n')
 
 
 def entry_point(argv, stdout):
@@ -821,7 +830,7 @@ def test_the_entry_point_writes_and_exits_as_main_in_process(capsys, monkeypatch
         assert (result.returncode, result.stdout, result.stderr) == (code, out.encode(), err.encode())
 
 
-# main's own flush, the flush in run of a payload written before an error,
+# main's flush, of a payload, of the part of one written before an error,
 # and of the help text: each finds no reader and ends the call with 141
 @pytest.mark.parametrize("argv", [("hnf", "0,1;2,0"), FAILING_APPLY, ("--help",)], ids=" ".join)
 def test_a_stdout_without_a_reader_exits_141_with_no_traceback(capsys, argv):
@@ -833,6 +842,35 @@ def test_a_stdout_without_a_reader_exits_141_with_no_traceback(capsys, argv):
     finally:
         os.close(write_end)
     assert (result.returncode, result.stderr) == (141, err.encode())
+
+
+# A full device refuses every write (ENOSPC) whether it comes from a handler,
+# unbuffered, or from main's flush: one stderr line, exit 1, and no forked
+# zeta producer (100000 terms are several segments) outlives the call.
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="writes stdout to /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hnf", "0,1;2,0"),
+        ("ball", "M=1,r=0", "--radius", "30"),
+        ("ext", "equiv", "2^1", "2^3"),
+        ("goormaghtigh", "--bound", "100"),
+        ("zeta", "--which", "P", "--terms", "100000"),
+    ],
+    ids=" ".join,
+)
+def test_a_stdout_on_a_full_device_exits_1_with_one_line_and_leaves_nothing_running(argv, unbuffered):
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env |= {"PYTHONPATH": str(SRC)} | ({"PYTHONUNBUFFERED": "1"} if unbuffered else {})
+    with open("/dev/full", "wb") as full:
+        child = subprocess.Popen(
+            [sys.executable, "-W", "error", "-m", "m2z.cli", *argv], env=env, stdout=full, stderr=subprocess.PIPE, start_new_session=True
+        )
+    _, err = child.communicate(timeout=60)
+    assert (child.returncode, err) == (1, b"error: OSError: [Errno 28] No space left on device\n")
+    with pytest.raises(ProcessLookupError):
+        os.killpg(child.pid, 0)
 
 
 _RUN_AS_MAIN = """
