@@ -5,7 +5,8 @@ Payloads go to stdout, diagnostics to stderr.  Exit codes: 0 on success,
 2 on usage or literal-parse errors and on inputs too large for memory,
 141 when stdout is closed before the payload is written (``m2z ... | head``),
 without a traceback, and 1 when another write of stdout fails (a full device),
-with one stderr line.  Fractions are always rendered as "num/den" strings,
+the help text's too, with one stderr line after that of the domain error the
+call met, if any.  Fractions are always rendered as "num/den" strings,
 never as floating point.
 
 ``m2z.zetaout`` writes the ``zeta`` payload, from a forked producer when the
@@ -157,7 +158,12 @@ def _add_commands(subparsers, grammar) -> None:
 def _build_parser():
     import argparse  # only here: a well-formed call is read by _fast_parse
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):  # add_subparsers makes every subparser one
+        def _print_message(self, message, file=None):  # argparse's drops a failed write from 3.11 on; main reports it
+            if message:
+                (file or sys.stderr).write(message)
+
+    parser = Parser(
         prog="m2z",
         description="Exact 2x2 integer matrix classes, the big picture, zeta "
         "coefficient tables, and extension classification.",
@@ -245,6 +251,8 @@ def main(argv=None) -> int:
     except OSError as exc:  # a write the system refused: stdout on a full device, ...
         if exc.errno is None:  # raised by m2z, not the system: zetaout's producer ended early, a fault shown in full
             raise
+        if isinstance(exc.__context__, errors.DomainError):  # the handler's report of it failed: ext apply's error JSON
+            print(f"error: {type(exc.__context__).__name__}: {exc.__context__}", file=sys.stderr)
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

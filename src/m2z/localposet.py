@@ -15,7 +15,7 @@ from enum import Enum
 
 from .errors import PrimeMismatch
 from .matrices import MatrixClass
-from .primes import is_prime, valuation
+from .primes import _require_primes, valuation
 from .record import Frozen
 
 __all__ = [
@@ -46,8 +46,7 @@ class LocalClass(Frozen):
     __slots__ = ("p", "k", "l", "z")
 
     def __init__(self, p: int, k: int, l: int, z: int = 0):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        _require_primes(p)
         if not all(type(e) is int and e >= 0 for e in (k, l)):
             raise ValueError(f"exponents must be nonnegative integers, got k={k!r}, l={l!r}")
         if type(z) is not int or not 0 <= z < p**l:
@@ -76,8 +75,7 @@ def localize(m: MatrixClass, p: int) -> LocalClass:
     With representative [[a, b], [0, d]]: k = v_p(a), l = v_p(d), and z is
     b divided by the unit part of a, reduced mod p^l.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _require_primes(p)
     k = valuation(m.a, p)
     l = valuation(m.d, p)
     if l == 0:

@@ -26,7 +26,7 @@ from collections.abc import Iterator, Mapping
 from math import gcd, lcm
 
 from .errors import NotDivisible, NotUnimodular, SingularMatrix
-from .primes import is_prime, valuation
+from .primes import _require_primes, valuation
 from .record import Frozen
 
 __all__ = [
@@ -233,23 +233,25 @@ def hyper_distance(x: MatrixClass, y: MatrixClass) -> int:
 class CharacterSpec(Frozen):
     """A character chi: Q^x -> {1, -1}, determined by chi(-1) and chi(p).
 
-    Primes absent from ``sign_at_prime`` (a new empty dict by default) have
-    chi(p) = +1.
+    ``sign_at_prime`` is a dict copied from the mapping given (a new empty
+    dict by default), so a later change to that mapping is not seen; primes
+    absent from it have chi(p) = +1.  A character hashes by its items.
     """
 
     __slots__ = ("sign_at_minus_one", "sign_at_prime")
 
     def __init__(self, sign_at_minus_one: int = 1, sign_at_prime: Mapping[int, int] | None = None):
-        if sign_at_prime is None:
-            sign_at_prime = {}
         if sign_at_minus_one not in (1, -1):
             raise ValueError("chi(-1) must be +1 or -1")
+        sign_at_prime = dict(sign_at_prime or ())
         for p, s in sign_at_prime.items():
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
+            _require_primes(p)
             if s not in (1, -1):
                 raise ValueError(f"chi({p}) must be +1 or -1")
         self._set(sign_at_minus_one, sign_at_prime)
+
+    def __hash__(self):
+        return hash((self.sign_at_minus_one, frozenset(self.sign_at_prime.items())))
 
     def value(self, r: int | Fraction) -> int:
         if r == 0:

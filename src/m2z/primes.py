@@ -102,6 +102,13 @@ def is_prime(n: int) -> bool:
     return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
 
 
+def _require_primes(*ns: int) -> None:
+    """Refuse ns unless all are prime: the ValueError names the first that is not."""
+    for n in ns:
+        if not is_prime(n):
+            raise ValueError(f"{n} is not prime")
+
+
 def primes_up_to(n: int) -> list[int]:
     """All primes <= n, ascending (simple sieve)."""
     if n < 2:

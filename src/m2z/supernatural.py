@@ -26,7 +26,7 @@ from math import gcd, isqrt, lcm, log2, prod
 
 from .errors import Degenerate, NotAUnit, NotRepresentable
 from .matrices import _DIGITS, _MATRIX, _RATIONAL, IntMatrix2, _numbers
-from .primes import factor, is_prime, valuation
+from .primes import _require_primes, factor, valuation
 from .record import Frozen, restore
 
 __all__ = [
@@ -79,8 +79,7 @@ class ComponentwiseProfinite(Frozen):
             raise ValueError("the all-zero element carries no component map")
         seen = set()
         for p, e in components:
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
+            _require_primes(p)
             if p in seen:
                 raise ValueError(f"repeated prime {p}")
             seen.add(p)
@@ -197,9 +196,7 @@ def parse_supernatural(text: str) -> ComponentwiseProfinite:
     # min() keeps the float in range: an exponent over the limit is over on its own
     if sum(min(e, MAX_VALUE_BITS + 1) * log2(p) for p, e in comps.items() if e and p > 1) > MAX_VALUE_BITS:
         raise MemoryError(f"the value of a literal has over {MAX_VALUE_BITS} bits")
-    for p, e in comps.items():
-        if e == 0 and not is_prime(p):  # `of` drops these before its primality test
-            raise ValueError(f"{p} is not prime")
+    _require_primes(*(p for p, e in comps.items() if e == 0))  # `of` drops these before its primality test
     return ComponentwiseProfinite.of(comps)
 
 
@@ -349,9 +346,7 @@ def system_determinant(p: int, k: int, u: int, q: int, r: int, v: int) -> int:
     (p^k - 1)(q^r - 1)(p^u - q^v), nonzero for distinct primes."""
     if p == q:
         raise ValueError("the two primes must be distinct")
-    for n in (p, q):
-        if not is_prime(n):
-            raise ValueError(f"{n} is not prime")
+    _require_primes(p, q)
     if min(k, u, r, v) < 1:
         raise ValueError("exponents must be positive")
     return (p**k - 1) * (q**r - 1) * (p**u - q**v)
@@ -360,8 +355,7 @@ def system_determinant(p: int, k: int, u: int, q: int, r: int, v: int) -> int:
 def prime_power_witness(p: int, k: int, u: int) -> MoebiusMatrix:
     """The affine matrix mapping s(p^k) to s(p^u):
     (1, (p^k - p^u)/(p^k - 1); 0, (p^u - 1)/(p^k - 1)), cleared to integers."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _require_primes(p)
     if min(k, u) < 1:
         raise ValueError("exponents must be positive")
     return MoebiusMatrix(p**k - 1, p**k - p**u, 0, p**u - 1)
@@ -477,9 +471,7 @@ def goormaghtigh_witness(p: int, k: int, q: int, r: int, l: int) -> MoebiusMatri
     beyond the (2,4,5,2) family would contradict the repunit coincidence
     search.
     """
-    for n in (p, q, l):
-        if not is_prime(n):
-            raise ValueError(f"{n} is not prime")
+    _require_primes(p, q, l)
     if not p < q:
         raise ValueError("need p < q")
     if l in (p, q):

@@ -641,6 +641,13 @@ def test_literal_bomb_is_refused_at_once(argv, prefix):
     assert result.stderr.count("\n") == 1
 
 
+def test_a_literal_over_the_base_bits_guard_is_refused_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ext", "equiv", f"{2**4096 + 1}^1", "2^1")  # a strong base-2 probable prime
+    assert time.perf_counter() - start < 2
+    assert (code, out, err) == (2, "", "too large: the bases of a literal have 4097 bits, over the limit of 4096\n")
+
+
 def _fresh_python(*args):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run([sys.executable, "-W", "error", *args], env=env, capture_output=True, text=True, timeout=30)
@@ -845,8 +852,9 @@ def test_a_stdout_without_a_reader_exits_141_with_no_traceback(capsys, argv):
 
 
 # A full device refuses every write (ENOSPC) whether it comes from a handler,
-# unbuffered, or from main's flush: one stderr line, exit 1, and no forked
-# zeta producer (100000 terms are several segments) outlives the call.
+# unbuffered, from argparse's help, or from main's flush: exit 1, one stderr
+# line after the domain error a call reports, and no forked zeta producer
+# (100000 terms are several segments) outlives the call.
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="writes stdout to /dev/full")
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
@@ -857,6 +865,8 @@ def test_a_stdout_without_a_reader_exits_141_with_no_traceback(capsys, argv):
         ("ext", "equiv", "2^1", "2^3"),
         ("goormaghtigh", "--bound", "100"),
         ("zeta", "--which", "P", "--terms", "100000"),
+        FAILING_APPLY,
+        ("--help",),
     ],
     ids=" ".join,
 )
@@ -868,7 +878,8 @@ def test_a_stdout_on_a_full_device_exits_1_with_one_line_and_leaves_nothing_runn
             [sys.executable, "-W", "error", "-m", "m2z.cli", *argv], env=env, stdout=full, stderr=subprocess.PIPE, start_new_session=True
         )
     _, err = child.communicate(timeout=60)
-    assert (child.returncode, err) == (1, b"error: OSError: [Errno 28] No space left on device\n")
+    reported = {FAILING_APPLY: b"error: NotRepresentable: default components map to 1/2\n"}.get(argv, b"")
+    assert (child.returncode, err) == (1, reported + b"error: OSError: [Errno 28] No space left on device\n")
     with pytest.raises(ProcessLookupError):
         os.killpg(child.pid, 0)
 

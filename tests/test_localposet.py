@@ -180,3 +180,23 @@ class TestCensus:
                 for x in classes_with_det_valuation(p, n):
                     counts = census_counts(x, upward_neighbors(x), downward_neighbors(x))
                     assert counts == CENSUS[classify(x)](p), (p, x)
+
+
+# Each argument guard with its exception and its message; a composite prime is
+# refused before the exponents are read.
+GUARDS = [
+    pytest.param(lambda: localize(MatrixClass(1, 0, 1), 1), ValueError, "1 is not prime", id="localize at 1"),
+    pytest.param(lambda: LocalClass(4, -1, 0), ValueError, "4 is not prime", id="a composite before its exponents"),
+    pytest.param(lambda: list(classes_with_det_valuation(2, -1)), ValueError, "valuation must be nonnegative", id="valuation -1"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", GUARDS)
+def test_each_argument_guard_raises_its_error_and_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
+def test_a_local_class_prints_as_its_representative():
+    assert str(LocalClass(3, 1, 2, 4)) == "(3^1, 4; 0, 3^2)"

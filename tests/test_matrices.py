@@ -381,3 +381,27 @@ class TestEnumerationAndParsing:
             MatrixClass(1, 2, 2)
         with pytest.raises(ValueError):
             MatrixClass(1, -1, 2)
+
+
+# Each argument guard with its exception and its message; a composite key is
+# refused before its sign is read.
+GUARDS = [
+    pytest.param(lambda: CharacterSpec(0), ValueError, "chi(-1) must be +1 or -1", id="chi(-1) = 0"),
+    pytest.param(lambda: CharacterSpec(1, {3: 2}), ValueError, "chi(3) must be +1 or -1", id="chi(3) = 2"),
+    pytest.param(lambda: CharacterSpec(1, {2: -1, 4: 2}), ValueError, "4 is not prime", id="a composite before its sign"),
+    pytest.param(lambda: CharacterSpec().value(0), ValueError, "characters of Q^x are undefined at 0", id="chi(0)"),
+    pytest.param(
+        lambda: apply_automorphism(IntMatrix2(1, 2, 2, 4), CharacterSpec(), IntMatrix2.identity()),
+        SingularMatrix,
+        "det(1,2;2,4) = 0",
+        id="a singular m",
+    ),
+    pytest.param(lambda: list(classes_with_det(0)), ValueError, "determinant must be positive, got 0", id="det 0"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", GUARDS)
+def test_each_argument_guard_raises_its_error_and_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)

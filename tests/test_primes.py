@@ -4,6 +4,7 @@ import pytest
 
 from m2z.primes import (
     _BASES,
+    _require_primes,
     _strong_lucas_probable_prime,
     _strong_probable_prime,
     factor,
@@ -69,6 +70,12 @@ def test_mersenne_primes_above_the_bound(e):
     assert is_prime(n)
     assert not is_prime(n * (2**61 - 1))
     assert not is_prime(n * n)
+
+
+def test_require_primes_names_the_first_argument_that_is_not_prime():
+    assert _require_primes() is None and _require_primes(2, 2**61 - 1, 2) is None
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        _require_primes(3, 4, MR_BOUND_PSEUDOPRIME)
 
 
 def test_factor():

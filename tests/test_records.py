@@ -70,9 +70,8 @@ class TestRecord:
         assert repr(record) == text
 
     def test_hash_is_that_of_the_field_tuple(self, record, fields, text):
-        if isinstance(record, CharacterSpec):  # a dict field: unhashable, as the dict is
-            with pytest.raises(TypeError):
-                hash(record)
+        if isinstance(record, CharacterSpec):  # a dict field, hashed by its items
+            assert hash(record) == hash((fields[0], frozenset(fields[1].items())))
         else:
             assert hash(record) == hash(fields)
 
@@ -124,7 +123,7 @@ def test_keyword_construction_and_defaults():
 def test_copy_and_pickle_skip_the_checks(monkeypatch):
     x = ComponentwiseProfinite(((2, 1), (3, None)))
     calls = []
-    monkeypatch.setattr("m2z.supernatural.is_prime", calls.append)  # would fail every prime
+    monkeypatch.setattr("m2z.primes.is_prime", calls.append)  # would fail every prime
     for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
         assert twin == x and twin is not x
     assert calls == []
@@ -133,6 +132,18 @@ def test_copy_and_pickle_skip_the_checks(monkeypatch):
 def test_each_character_gets_a_fresh_default_dict():
     x, y = CharacterSpec(), CharacterSpec()
     assert x.sign_at_prime == {} and x.sign_at_prime is not y.sign_at_prime
+
+
+def test_equal_characters_hash_equal_whatever_the_order_of_their_primes():
+    assert hash(CharacterSpec(-1, {3: -1, 5: -1})) == hash(CharacterSpec(-1, {5: -1, 3: -1}))
+    assert len({CharacterSpec(), CharacterSpec(1, {}), CharacterSpec(-1), CharacterSpec(-1, {})}) == 2
+
+
+def test_a_character_keeps_a_copy_of_the_mapping_it_was_given():
+    signs = {3: -1}
+    chi = CharacterSpec(1, signs)
+    signs[4] = 7  # a composite key and a sign that the checks refuse
+    assert chi.sign_at_prime == {3: -1} and chi.sign_at_prime is not signs
 
 
 def test_picture_graph_computes_its_vertices_once(monkeypatch):

@@ -225,7 +225,7 @@ class TestMoebiusApply:
             (MoebiusMatrix(31, 0, -1, 30), multiply(s_of(400), p_infinity(3))),
             (MoebiusMatrix(3, 6, -2, -5), s_of(6)),
         ]
-        monkeypatch.setattr("m2z.supernatural.is_prime", counting_is_prime)
+        monkeypatch.setattr("m2z.primes.is_prime", counting_is_prime)
         images = [moebius_apply(g, z) for g, z in cases]
         assert calls == []
         assert images == [cases[0][1], multiply(s_of(4000), p_infinity(3)), s_of(12)]
@@ -316,7 +316,7 @@ class TestEquivDecide:
             return is_prime(n)
 
         pairs = [(s_of(12), s_of(18)), (parse_supernatural("2^1*3^inf"), parse_supernatural("2^2*3^inf"))]
-        monkeypatch.setattr("m2z.supernatural.is_prime", counting_is_prime)
+        monkeypatch.setattr("m2z.primes.is_prime", counting_is_prime)
         for z, z_prime in pairs:
             assert isinstance(equiv_decide(z, z_prime), Equivalent)
         assert calls == []
@@ -528,3 +528,52 @@ class TestGoormaghtigh:
             goormaghtigh_witness(3, 1, 2, 1, 5)  # p >= q
         with pytest.raises(ValueError):
             goormaghtigh_witness(2, 1, 5, 1, 5)  # l collides
+
+
+# Each argument guard with its exception and its message.  Where two checks
+# could refuse one call, the case pins which runs first: primality before
+# distinctness, order and exponents, and the arguments in their order.
+GUARDS = [
+    pytest.param(lambda: ComponentwiseProfinite(((2, 1),), True), ValueError, "the all-zero element carries no component map", id="all-zero with components"),
+    pytest.param(lambda: ComponentwiseProfinite(((3, 1), (2, 1))), ValueError, "components must be sorted by prime", id="unsorted components"),
+    pytest.param(lambda: ComponentwiseProfinite(((4, 0), (2, 1))), ValueError, "4 is not prime", id="a composite before its exponent"),
+    pytest.param(lambda: s_of(-1), ValueError, "need a nonnegative integer, got -1", id="s_of(-1)"),
+    pytest.param(
+        lambda: moebius_apply(MoebiusMatrix(0, 1, 1, 0), ZERO_EVERYWHERE),
+        NotAUnit,
+        "a + c*z is not invertible at the default components",
+        id="a = 0 on the all-zero element",
+    ),
+    pytest.param(lambda: system_determinant(2, 1, 1, 2, 1, 1), ValueError, "the two primes must be distinct", id="det p = q"),
+    pytest.param(lambda: system_determinant(4, 0, 1, 9, 1, 1), ValueError, "4 is not prime", id="det composite p"),
+    pytest.param(lambda: system_determinant(2, 1, 1, 9, 1, 0), ValueError, "9 is not prime", id="det composite q"),
+    pytest.param(lambda: system_determinant(2, 1, 1, 3, 1, 0), ValueError, "exponents must be positive", id="det exponent 0"),
+    pytest.param(lambda: prime_power_witness(4, 0, 1), ValueError, "4 is not prime", id="prime power composite p"),
+    pytest.param(lambda: prime_power_witness(2, 0, 1), ValueError, "exponents must be positive", id="prime power exponent 0"),
+    pytest.param(lambda: goormaghtigh_witness(9, 1, 3, 1, 5), ValueError, "9 is not prime", id="witness composite p"),
+    pytest.param(lambda: goormaghtigh_witness(2, 1, 9, 1, 5), ValueError, "9 is not prime", id="witness composite q"),
+    pytest.param(lambda: goormaghtigh_witness(4, 0, 5, 1, 9), ValueError, "4 is not prime", id="witness composite p and l"),
+    pytest.param(lambda: goormaghtigh_witness(2, 1, 5, 0, 9), ValueError, "9 is not prime", id="witness composite l"),
+    pytest.param(lambda: goormaghtigh_witness(3, 1, 2, 1, 5), ValueError, "need p < q", id="witness p > q"),
+    pytest.param(lambda: goormaghtigh_witness(2, 1, 5, 1, 5), ValueError, "l must differ from p and q", id="witness l = q"),
+    pytest.param(lambda: goormaghtigh_witness(2, 0, 5, 1, 7), ValueError, "exponents must be positive", id="witness exponent 0"),
+    pytest.param(lambda: goormaghtigh_search(0), ValueError, "bound must be positive", id="search bound 0"),
+    pytest.param(
+        lambda: parse_supernatural(f"{2**4096 + 1}^1"),
+        MemoryError,
+        "the bases of a literal have 4097 bits, over the limit of 4096",
+        id="a base of 4097 bits",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error, message", GUARDS)
+def test_each_argument_guard_raises_its_error_and_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
+def test_bases_of_exactly_max_base_bits_reach_the_primality_test():
+    with pytest.raises(ValueError, match=f"^{2**4096 - 1} is not prime$"):  # 3 divides it
+        parse_supernatural(f"{2**4096 - 1}^1")
