@@ -720,6 +720,12 @@ def test_the_fast_parse_agrees_with_argparse_on_the_argv_corpus():
     assert " argv, 0 disagreements, Python " in result.stdout
 
 
+def test_the_cli_corpus_replays_with_the_recorded_bytes():
+    result = _fresh_python(str(Path(__file__).with_name("cli_corpus.py")))
+    assert (result.returncode, result.stderr) == (0, "")
+    assert " argv, 0 differences, Python " in result.stdout
+
+
 def test_a_module_whose_first_run_raised_runs_again_on_the_next_access():
     probe = """
 import math, sys, types  # math is not loaded at start-up from Python 3.12 on
