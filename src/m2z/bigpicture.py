@@ -117,21 +117,19 @@ def delta(x: BigPictureVertex, y: BigPictureVertex) -> int:
 
 
 def delta_direct(x: BigPictureVertex, y: BigPictureVertex) -> int:
-    """Hyper-distance via alpha-matrices: det of the minimal integral scaling
-    of alpha_x * alpha_y^-1, the positive scalar route."""
-    # alpha_x * alpha_y^-1 = [[Mx/My, (rx*My - Mx*ry)/My], [0, 1]]
-    from fractions import Fraction
-    c11 = x.M / y.M
-    c12 = (x.r * y.M - x.M * y.r) / y.M
-    entries = [c for c in (c11, c12, Fraction(1)) if c != 0]
-    q = Fraction(
-        lcm(*(c.denominator for c in entries)),
-        gcd(*(c.numerator for c in entries)),
-    )
-    det = q * q * c11
-    if det.denominator != 1 or det <= 0:
-        raise ArithmeticError(f"the alpha route gave {det}, not a positive integer")
-    return int(det)
+    """Hyper-distance via alpha-matrices, in integers: den(M)*h times
+    alpha_v = (M, g/h; 0, 1) is (num(M)*h, g*den(M); 0, den(M)*h)."""
+    return _alpha_distance(*((v.M.numerator * v.h, v.g * v.M.denominator, v.M.denominator * v.h) for v in (x, y)))
+
+
+def _alpha_distance(x: tuple[int, int, int], y: tuple[int, int, int]) -> int:
+    """The alpha route, given positive multiples X = (a, b; 0, d) and Y = (A, B; 0, D) of alpha_x and alpha_y:
+    X*adj(Y) = (aD, bA - aB; 0, dA) is a positive multiple of alpha_x * alpha_y^-1; its minimal integral scaling
+    is that matrix divided by its content c.  c divides every entry, so c^2 divides det X * det Y: the result is
+    an integer by construction, and a, d, A, D >= 1 make it positive."""
+    (a, b, d), (A, B, D) = x, y
+    c = gcd(a * D, b * A - a * B, d * A)
+    return a * d * A * D // c**2
 
 
 def bp_leq(x: BigPictureVertex, y: BigPictureVertex) -> bool:

@@ -57,7 +57,7 @@ def _cmd_dist(args) -> None:
     mx, my = _read_class(args.x), _read_class(args.y)
     d = matrices.hyper_distance(mx, my)
     if mx.is_primitive and my.is_primitive:  # both are vertices of the picture
-        via = bigpicture.delta_direct(bigpicture.unembed(mx), bigpicture.unembed(my))
+        via = bigpicture._alpha_distance((mx.a, mx.b, mx.d), (my.a, my.b, my.d))  # d * alpha is the class (a, b; 0, d)
         payload = {"delta": d, "via_alpha": via, "agree": via == d}
     else:
         payload = {"delta": d, "via_alpha": None, "agree": None}
