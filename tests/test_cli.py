@@ -677,6 +677,9 @@ print(json.dumps([code, {_EXECUTED}, loaded]))
     "argv, unexecuted",
     [
         (("hnf", "0,1;2,0"), {"bigpicture", "localposet", "supernatural", "textout", "zeta"}),
+        # the alpha route runs on the two classes, in integers
+        (("dist", "1,2;0,3", "2,1;0,5"), {"localposet", "supernatural", "zeta", "heapq"}),
+        (("dist", "M=2,r=0", "M=3,r=0"), {"localposet", "supernatural", "zeta", "heapq"}),
         (("zeta", "--which", "M", "--terms", "10"), {"bigpicture", "localposet", "matrices", "supernatural", "json"}),
         (("ext", "equiv", "2^1", "2^3"), {"bigpicture", "localposet", "textout", "zeta", "heapq"}),
         (

@@ -187,6 +187,7 @@ class TestCensus:
 GUARDS = [
     pytest.param(lambda: localize(MatrixClass(1, 0, 1), 1), ValueError, "1 is not prime", id="localize at 1"),
     pytest.param(lambda: LocalClass(4, -1, 0), ValueError, "4 is not prime", id="a composite before its exponents"),
+    pytest.param(lambda: LocalClass(3.0, 0, 1, 2), ValueError, "3.0 is not prime", id="a float equal to a prime"),
     pytest.param(lambda: list(classes_with_det_valuation(2, -1)), ValueError, "valuation must be nonnegative", id="valuation -1"),
 ]
 

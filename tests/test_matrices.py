@@ -389,6 +389,7 @@ GUARDS = [
     pytest.param(lambda: CharacterSpec(0), ValueError, "chi(-1) must be +1 or -1", id="chi(-1) = 0"),
     pytest.param(lambda: CharacterSpec(1, {3: 2}), ValueError, "chi(3) must be +1 or -1", id="chi(3) = 2"),
     pytest.param(lambda: CharacterSpec(1, {2: -1, 4: 2}), ValueError, "4 is not prime", id="a composite before its sign"),
+    pytest.param(lambda: CharacterSpec(1, {3.0: -1}), ValueError, "3.0 is not prime", id="a float equal to a prime"),
     pytest.param(lambda: CharacterSpec().value(0), ValueError, "characters of Q^x are undefined at 0", id="chi(0)"),
     pytest.param(
         lambda: apply_automorphism(IntMatrix2(1, 2, 2, 4), CharacterSpec(), IntMatrix2.identity()),

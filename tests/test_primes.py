@@ -76,6 +76,8 @@ def test_require_primes_names_the_first_argument_that_is_not_prime():
     assert _require_primes() is None and _require_primes(2, 2**61 - 1, 2) is None
     with pytest.raises(ValueError, match="^4 is not prime$"):
         _require_primes(3, 4, MR_BOUND_PSEUDOPRIME)
+    with pytest.raises(ValueError, match=r"^3\.0 is not prime$"):  # is_prime(3.0) holds; the helper takes ints only
+        _require_primes(2, 3.0)
 
 
 def test_factor():

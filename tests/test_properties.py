@@ -21,7 +21,17 @@ from hypothesis import strategies as st
 
 from fast_parse_corpus import argparse_reading
 
-from m2z.bigpicture import BigPictureVertex, _upper_neighbours, ball, ball_stream, embed, parse_vertex
+from m2z.bigpicture import (
+    BigPictureVertex,
+    _alpha_distance,
+    _upper_neighbours,
+    ball,
+    ball_stream,
+    delta,
+    delta_direct,
+    embed,
+    parse_vertex,
+)
 from m2z.cli import _GRAMMAR, _fast_parse, main
 from m2z.errors import Degenerate, DomainError, NotAUnit, NotRepresentable
 from m2z.localposet import localize, upward_neighbors
@@ -537,6 +547,31 @@ def test_moved_ball_matches_the_hnf_route(center, radius):
     classes, moved_edges = tuple(starmap(MatrixClass, triples)), tuple(edge_stream)
     assert (classes, moved_edges) == moved_ball_by_hnf(center, radius)
     assert (vertices, edges) == (len(classes), len(moved_edges))
+
+
+def alpha_route_by_fractions(x, y):
+    # the alpha route in rationals, which delta_direct took before its integer
+    # route: det of the minimal integral scaling q * alpha_x * alpha_y^-1,
+    # alpha_x * alpha_y^-1 = (Mx/My, (rx*My - Mx*ry)/My; 0, 1)
+    c11 = x.M / y.M
+    c12 = (x.r * y.M - x.M * y.r) / y.M
+    entries = [c for c in (c11, c12, Fraction(1)) if c != 0]
+    q = Fraction(lcm(*(c.denominator for c in entries)), gcd(*(c.numerator for c in entries)))
+    return q * q * c11
+
+
+sizes, numerators = st.integers(1, 12) | st.integers(1, 10**40), st.integers(-12, 12) | st.integers(-10**40, 10**40)
+vertices = st.builds(BigPictureVertex.of, st.builds(Fraction, sizes, sizes), st.builds(Fraction, numerators, sizes))
+
+
+@settings(max_examples=300, deadline=None)
+@given(vertices, vertices)
+@example(BigPictureVertex.of(1), BigPictureVertex.of(1))
+@example(BigPictureVertex.of(Fraction(3, 2), Fraction(1, 2)), BigPictureVertex.of(Fraction(3, 2), Fraction(1, 2)))
+def test_the_alpha_route_in_integers_is_the_route_in_fractions(x, y):
+    expected = alpha_route_by_fractions(x, y)
+    assert delta_direct(x, y) == expected == delta(x, y)
+    assert _alpha_distance(*((m.a, m.b, m.d) for m in map(embed, (x, y)))) == expected
 
 
 # hnf, meet and join against the definitions of their lattices: (u, v) lies

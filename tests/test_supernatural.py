@@ -537,6 +537,7 @@ GUARDS = [
     pytest.param(lambda: ComponentwiseProfinite(((2, 1),), True), ValueError, "the all-zero element carries no component map", id="all-zero with components"),
     pytest.param(lambda: ComponentwiseProfinite(((3, 1), (2, 1))), ValueError, "components must be sorted by prime", id="unsorted components"),
     pytest.param(lambda: ComponentwiseProfinite(((4, 0), (2, 1))), ValueError, "4 is not prime", id="a composite before its exponent"),
+    pytest.param(lambda: ComponentwiseProfinite(((2.0, 1),)), ValueError, "2.0 is not prime", id="a float equal to a prime"),
     pytest.param(lambda: s_of(-1), ValueError, "need a nonnegative integer, got -1", id="s_of(-1)"),
     pytest.param(
         lambda: moebius_apply(MoebiusMatrix(0, 1, 1, 0), ZERO_EVERYWHERE),
