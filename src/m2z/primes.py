@@ -103,7 +103,7 @@ def is_prime(n: int) -> bool:
 
 
 def _require_primes(*ns: int) -> None:
-    """Refuse ns unless all are prime ints: the ValueError names the first that is not (3.0 too)."""
+    """Refuse ns unless all are prime ints: the ValueError names the first that is not, a float such as 3.0 too."""
     for n in ns:
         if type(n) is not int or not is_prime(n):
             raise ValueError(f"{n} is not prime")

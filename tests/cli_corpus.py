@@ -3,7 +3,7 @@
 Stdlib only, so that it runs under any installed interpreter:
 
     PYTHONPATH=src python tests/cli_corpus.py           # replay
-    PYTHONPATH=src:tests python tests/cli_corpus.py --record
+    PYTHONPATH=src python tests/cli_corpus.py --record  # re-record
 
 ``tests/cli_corpus.json`` maps each argv, shell-quoted, to the sha256 of its
 stdout, its stderr and its exit code.  The replay runs every argv in process
@@ -72,10 +72,10 @@ def record():
     return len(entries)
 
 
-def differences():
+def differences(corpus):
     """(argv, recorded, replayed) for each corpus entry whose bytes or code differ."""
     found = []
-    for line, recorded in json.loads(CORPUS.read_text()).items():
+    for line, recorded in corpus.items():
         replayed = replay(shlex.split(line))
         if replayed != recorded:
             found.append((line, recorded, replayed))
@@ -87,8 +87,9 @@ if __name__ == "__main__":
     if sys.argv[1:] == ["--record"]:
         print(f"{record()} argv recorded in {CORPUS.name}")
         sys.exit(0)
-    found = differences()
+    corpus = json.loads(CORPUS.read_text())
+    found = differences(corpus)
     for entry in found:
         print(*entry)
-    print(f"{len(json.loads(CORPUS.read_text()))} argv, {len(found)} differences, Python {sys.version.split()[0]}")
+    print(f"{len(corpus)} argv, {len(found)} differences, Python {sys.version.split()[0]}")
     sys.exit(len(found))
